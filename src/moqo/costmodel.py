@@ -217,6 +217,15 @@ class CostModel:
         )
         self._rels: dict = {self.full_set.bits: self.full_set}
         self._all_three = metrics == (0, 1, 2)
+        # per edge, in query order: endpoint bits and selectivity; per
+        # table, the bit mask of the indices of the edges touching it
+        self._edge_ends = tuple((1 << a) | (1 << b) for a, b, _ in query.edges)
+        self._edge_sels = tuple(s for _, _, s in query.edges)
+        incident = [0] * query.n
+        for e, (a, b, _) in enumerate(query.edges):
+            incident[a] |= 1 << e
+            incident[b] |= 1 << e
+        self._incident = tuple(incident)
 
     @property
     def n_metrics(self) -> int:
@@ -236,16 +245,44 @@ class CostModel:
         )
 
     def cross_selectivity(self, left: TableSet, right: TableSet) -> float:
-        """Product of selectivities of edges crossing between the two sets."""
-        key = (left.bits, right.bits)
-        sel = self._cross_sel.get(key)
-        if sel is None:
-            sel = 1.0
-            for a, b, s in self.query.edges:
-                if (a in left and b in right) or (a in right and b in left):
-                    sel *= s
-            self._cross_sel[key] = sel
-            self._cross_sel[(right.bits, left.bits)] = sel
+        """Product of the selectivities of the edges crossing between two
+        disjoint table sets.
+
+        Factors are multiplied in query edge order, so the result is
+        bit-identical to a plain scan over ``query.edges``. Overlapping
+        sets raise ``ValueError``. The result is recorded for both
+        argument orders in the pair memo that ``join`` reads first; this
+        method itself always computes.
+        """
+        lbits = left.bits
+        rbits = right.bits
+        if lbits & rbits:
+            raise ValueError(
+                f"cross selectivity needs disjoint table sets: {left!r}, {right!r}"
+            )
+        # an edge touching the smaller side crosses iff its other
+        # endpoint lies in the other side
+        if lbits.bit_count() <= rbits.bit_count():
+            small, other = lbits, rbits
+        else:
+            small, other = rbits, lbits
+        incident = self._incident
+        touching = 0
+        while small:
+            low = small & -small
+            touching |= incident[low.bit_length() - 1]
+            small ^= low
+        ends = self._edge_ends
+        sels = self._edge_sels
+        sel = 1.0
+        while touching:
+            low = touching & -touching
+            e = low.bit_length() - 1
+            if ends[e] & other:
+                sel *= sels[e]
+            touching ^= low
+        self._cross_sel[(lbits, rbits)] = sel
+        self._cross_sel[(rbits, lbits)] = sel
         return sel
 
     def join_out_card(self, outer: Plan, inner: Plan) -> float:
@@ -275,7 +312,8 @@ class CostModel:
     def join(self, outer: Plan, inner: Plan, join_op: int) -> Plan:
         # hand-inlined equivalent of join_local_cost + join_out_card;
         # plan_cost and the batched kernels replicate this operation
-        # order exactly, so keep the three paths in sync
+        # order exactly, and all three take cross_selectivity's product
+        # in ascending edge order, so keep the three paths in sync
         orel = outer.rel
         irel = inner.rel
         key = (orel.bits, irel.bits)

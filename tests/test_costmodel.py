@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 
@@ -202,6 +203,11 @@ class TestCostModel:
         b = TableSet.of([1, 2])
         assert m.cross_selectivity(a, b) == m.cross_selectivity(b, a) == 0.1
 
+    def test_cross_selectivity_rejects_overlap(self):
+        m = CostModel(chain3())
+        with pytest.raises(ValueError, match="disjoint"):
+            m.cross_selectivity(TableSet.of([0, 1]), TableSet.of([1, 2]))
+
     def test_join_commutation_changes_cost(self):
         m = CostModel(chain3())
         a = m.leaf(0, 0)
@@ -229,6 +235,72 @@ class TestCostModel:
             p = random_plan(m, rng)
             assert plan_cost(m, p) == p.cost
             assert len(p.cost) == 2
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _plain_cross_selectivity(query, left, right):
+    """Reference: one pass over the query edges in their listed order."""
+    sel = 1.0
+    for a, b, s in query.edges:
+        if (a in left and b in right) or (a in right and b in left):
+            sel *= s
+    return sel
+
+
+def _differential_queries():
+    for n in (2, 3, 8, 50, 100, 128):
+        for topology in Topology:
+            if topology is Topology.CYCLE and n < 3:
+                continue
+            for seed in range(2):
+                q = generate_query(GenSpec(n=n, topology=topology, seed=seed))
+                yield q
+                # the same graph with its edges listed in another order and
+                # with swapped endpoints, which changes the product order
+                rng = random.Random(seed)
+                edges = [(b, a, s) for a, b, s in q.edges]
+                rng.shuffle(edges)
+                yield QueryInstance(q.n, q.cards, tuple(edges), q.topology)
+
+
+class TestCrossSelectivityDifferential:
+    def test_matches_plain_edge_scan(self):
+        rng = random.Random(31)
+        for q in _differential_queries():
+            m = CostModel(q)
+            for _ in range(40):
+                # each table lands left, right or in neither set
+                sides = [rng.randrange(3) for _ in range(q.n)]
+                left = TableSet.of([t for t in range(q.n) if sides[t] == 0])
+                right = TableSet.of([t for t in range(q.n) if sides[t] == 1])
+                expected = _bits([_plain_cross_selectivity(q, left, right)])
+                assert _bits([m.cross_selectivity(left, right)]) == expected
+                assert _bits([m.cross_selectivity(right, left)]) == expected
+
+    def test_join_reads_the_same_product(self):
+        rng = random.Random(32)
+        for q in _differential_queries():
+            m = CostModel(q)
+            for _ in range(5):
+                p = random_plan(m, rng)
+                for node in p.nodes():
+                    if node.is_join:
+                        outer, inner = node.outer, node.inner
+                        cs = _plain_cross_selectivity(q, outer.rel, inner.rel)
+                        expected = outer.out_card * inner.out_card * cs
+                        assert _bits([node.out_card]) == _bits([expected])
+
+    def test_plan_cost_bit_exact_at_128_star(self):
+        rng = random.Random(33)
+        for seed in range(3):
+            spec = GenSpec(n=128, topology=Topology.STAR, seed=seed)
+            m = CostModel(generate_query(spec))
+            for _ in range(10):
+                p = random_plan(m, rng)
+                assert _bits(plan_cost(m, p)) == _bits(p.cost)
 
 
 def _random_tree(model, tables, rng):
