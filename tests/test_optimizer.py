@@ -395,6 +395,46 @@ class TestOfferJoinCombinations:
         assert offer_join_combinations(m, [], outs, [], 1.0) == 0
 
 
+_DIFF_CASES = [
+    (n, topology)
+    for n in range(3, 8)
+    for topology in (Topology.CHAIN, Topology.CYCLE, Topology.STAR)
+]
+
+
+class TestBatchedKernelDifferential:
+    """dp_frontier with every block batched equals the all-scalar run.
+
+    The factor, the metric subset and the catalog rotate with the case
+    index, so every value of each appears across the cases.
+    """
+
+    ALPHAS = (1.0, 1.5, 25.0, math.inf)
+    METRICS = ((0,), (0, 2), (0, 1, 2))
+    CATALOGS = (default_catalog, materializing_catalog)
+
+    @staticmethod
+    def _frontier(monkeypatch, model, alpha, threshold):
+        from moqo.baselines import dp_frontier
+
+        monkeypatch.setattr(optimizer_mod, "_BATCH_THRESHOLD", threshold)
+        archive = dp_frontier(model, alpha)
+        return [(p.cost, p.fmt, repr(p)) for p in archive]
+
+    @pytest.mark.parametrize("idx", range(len(_DIFF_CASES)))
+    def test_batched_equals_scalar(self, monkeypatch, idx):
+        n, topology = _DIFF_CASES[idx]
+        alpha = self.ALPHAS[idx % 4]
+        metrics = self.METRICS[idx % 3]
+        catalog = self.CATALOGS[(idx // 4) % 2]()
+        spec = GenSpec(n=n, topology=topology, seed=100 + idx)
+        m = CostModel(generate_query(spec), catalog, metrics)
+        batched = self._frontier(monkeypatch, m, alpha, 0)
+        scalar = self._frontier(monkeypatch, m, alpha, 10**12)
+        assert batched == scalar
+        assert batched
+
+
 class TestAlphaSchedule:
     def test_frozen_values(self):
         assert alpha_schedule(1) == 25.0
