@@ -6,7 +6,10 @@ All anytime runners share the signature (model, budget, seed,
 progress_sink) so the benchmark harness can treat them uniformly. The
 exhaustive oracle and the DP scheme are deliberately separate
 implementations of frontier search; their agreement at full precision is
-the package's keystone correctness check.
+the package's keystone correctness check. The exhaustive oracle is a
+plain enumeration into one ``Archive`` per table set, built with
+``CostModel.leaf``/``CostModel.join`` and ``Archive.insert`` and no numpy,
+so the only code it shares with DP is the cost model and the archive.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Archive, Plan, strictly_dominates, weakly_dominates
+from .core import Archive, Plan, strictly_dominates
 from .costmodel import CostModel
 from .optimizer import (
     DEFAULT_RULES,
@@ -52,120 +55,26 @@ def exhaustive_frontier(model: CostModel) -> Archive:
         )
     fronts: dict = {}
     for t in range(n):
-        kept: list = []
+        leaves = Archive()
         for op in range(len(model.catalog.scan_ops)):
-            _exact_insert(kept, model.leaf(t, op))
-        fronts[1 << t] = kept
+            leaves.insert(model.leaf(t, op))
+        fronts[1 << t] = leaves
+    n_join = len(model.catalog.join_ops)
     for size in range(2, n + 1):
         for combo in itertools.combinations(range(n), size):
             bits = 0
             for t in combo:
                 bits |= 1 << t
-            kept = []
+            kept = Archive()
             sub = (bits - 1) & bits
             while sub:
-                _exact_offer_block(model, kept, fronts[sub], fronts[bits ^ sub])
+                for outer in fronts[sub]:
+                    for inner in fronts[bits ^ sub]:
+                        for op in range(n_join):
+                            kept.insert(model.join(outer, inner, op))
                 sub = (sub - 1) & bits
             fronts[bits] = kept
-    archive = Archive()
-    for plan in fronts[(1 << n) - 1]:
-        archive.insert(plan)
-    return archive
-
-
-def _exact_insert(kept: list, plan: Plan) -> None:
-    cost = plan.cost
-    fmt = plan.fmt
-    for old in kept:
-        if old.fmt is fmt and weakly_dominates(old.cost, cost):
-            return
-    kept[:] = [
-        old
-        for old in kept
-        if not (old.fmt is fmt and weakly_dominates(cost, old.cost))
-    ]
-    kept.append(plan)
-
-
-def _exact_offer_block(model: CostModel, kept: list, outs: list, ins: list) -> None:
-    """Insert every (outer, inner, operator) combination, in that order.
-
-    Large blocks are thinned first by a vectorized test against the
-    pre-block frontier; that never changes the outcome because a frontier
-    plan is only ever displaced by a weak dominator, which inherits its
-    rejections.
-    """
-    join_ops = model.catalog.join_ops
-    n_ops = len(join_ops)
-    if len(outs) * len(ins) * n_ops * max(1, len(kept)) < 2048:
-        for pa in outs:
-            for pb in ins:
-                for op in range(n_ops):
-                    _exact_insert(kept, model.join(pa, pb, op))
-        return
-
-    ka, kb = len(outs), len(ins)
-    cs = model.cross_selectivity(outs[0].rel, ins[0].rel)
-    o_out = np.array([p.out_card for p in outs])
-    i_out = np.array([p.out_card for p in ins])
-    og = o_out[:, None] * i_out[None, :]
-    out_grid = og * cs
-    pa_cost = np.array([p.cost for p in outs])
-    pb_cost = np.array([p.cost for p in ins])
-    zeros = np.zeros_like(og)
-    sort_o = sort_i = None
-    slabs = []
-    for op in join_ops:
-        if op.kind == "nested_loop":
-            grids = (og * op.loop_factor + out_grid, np.full_like(og, 2.0), zeros)
-        elif op.kind == "hash":
-            grids = (
-                (o_out[:, None] + i_out[None, :]) + out_grid,
-                np.broadcast_to(o_out[:, None], og.shape),
-                zeros,
-            )
-        else:
-            if sort_o is None:
-                sort_o = np.array([x * math.log2(1.0 + x) for x in o_out.tolist()])
-                sort_i = np.array([x * math.log2(1.0 + x) for x in i_out.tolist()])
-            grids = (
-                (sort_o[:, None] + sort_i[None, :]) + out_grid,
-                np.full_like(og, op.buffer_pages),
-                o_out[:, None] + i_out[None, :],
-            )
-        local = np.stack(
-            [
-                np.maximum(1.0, np.broadcast_to(grids[k], og.shape))
-                for k in model.metrics
-            ],
-            axis=-1,
-        )
-        slabs.append((local + pa_cost[:, None, :]) + pb_cost[None, :, :])
-
-    n_metrics = len(model.metrics)
-    flat = np.stack(slabs, axis=2).reshape(ka * kb * n_ops, n_metrics)
-    dominated = np.zeros(len(flat), dtype=bool)
-    snapshot: dict = {}
-    for old in kept:
-        snapshot.setdefault(old.fmt, []).append(old.cost)
-    for op_idx, op in enumerate(join_ops):
-        old_costs = snapshot.get(op.fmt)
-        if not old_costs:
-            continue
-        old_arr = np.array(old_costs)
-        cand = flat[op_idx::n_ops]
-        chunk = max(1, 4_000_000 // (len(old_arr) * n_metrics))
-        mask = np.empty(len(cand), dtype=bool)
-        for lo in range(0, len(cand), chunk):
-            hi = min(lo + chunk, len(cand))
-            mask[lo:hi] = (
-                (old_arr[None, :, :] <= cand[lo:hi, None, :]).all(-1).any(-1)
-            )
-        dominated[op_idx::n_ops] = mask
-    for flat_idx in np.flatnonzero(~dominated):
-        op_idx = flat_idx % n_ops
-        pair = flat_idx // n_ops
-        _exact_insert(kept, model.join(outs[pair // kb], ins[pair % kb], op_idx))
+    return fronts[(1 << n) - 1]
 
 
 def dp_frontier(

@@ -310,10 +310,12 @@ class CostModel:
         return plan
 
     def join(self, outer: Plan, inner: Plan, join_op: int) -> Plan:
-        # hand-inlined equivalent of join_local_cost + join_out_card;
-        # plan_cost and the batched kernels replicate this operation
-        # order exactly, and all three take cross_selectivity's product
-        # in ascending edge order, so keep the three paths in sync
+        # hand-inlined copy of _join_local3 (the other spelling of the
+        # formula, used by plan_cost and the batched offer kernel) for
+        # speed; both must evaluate in the same order, which
+        # test_plan_cost_is_bit_exact, test_plan_cost_projected_metrics,
+        # test_costs_bit_exact_vs_scalar_join and
+        # TestBatchedKernelDifferential hold bit for bit
         orel = outer.rel
         irel = inner.rel
         key = (orel.bits, irel.bits)

@@ -45,14 +45,19 @@ def epsilon_indicator(candidate: Sequence, reference: Sequence) -> float:
 
     Assumes strictly positive components (the cost model floors every
     metric at 1). An empty candidate cannot cover anything and scores
-    +inf; an empty reference is a caller error.
+    +inf; an empty reference is a caller error, and so is a non-finite
+    component in either set, whose ratios would be inf or nan.
     """
     if len(reference) == 0:
         raise ValueError("reference set must not be empty")
+    ref = np.array(reference, dtype=float)
+    if not np.isfinite(ref).all():
+        raise ValueError("reference costs must be finite")
     if len(candidate) == 0:
         return math.inf
     cand = np.array(candidate, dtype=float)
-    ref = np.array(reference, dtype=float)
+    if not np.isfinite(cand).all():
+        raise ValueError("candidate costs must be finite")
     if cand.shape[1] != ref.shape[1]:
         raise ValueError("candidate and reference metric counts differ")
     ratios = (cand[:, None, :] / ref[None, :, :]).max(-1)

@@ -11,7 +11,6 @@ keep the cache tiny while later ones refine it toward exact frontiers.
 from __future__ import annotations
 
 import logging
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -350,6 +349,19 @@ class PlanCache:
         prune_approx(lst, plan, alpha)
         self._grew(len(lst) - before)
 
+    def offer_joins(self, model: CostModel, plan: Plan, alpha: float) -> None:
+        """Offer every combination of the cached frontiers of a join
+        plan's two input table sets to the frontier of its table set."""
+        self._grew(
+            offer_join_combinations(
+                model,
+                self.frontier(plan.rel),
+                self.frontier(plan.outer.rel),
+                self.frontier(plan.inner.rel),
+                alpha,
+            )
+        )
+
     def stats(self) -> dict:
         sizes = [len(lst) for lst in self._lists.values()]
         return {
@@ -391,50 +403,28 @@ def offer_join_combinations(
                     prune_approx(plans, model.join(o, i, op), alpha)
         return len(plans) - before
 
+    # candidate cost rows in (outer, inner, operator) order, each summed
+    # exactly as CostModel.join sums it, so accepted plans carry the
+    # same costs as their rows
     join_ops = model.catalog.join_ops
-    ka, kb = len(outs), len(ins)
+    join_local_cost = model.join_local_cost
     cs = model.cross_selectivity(outs[0].rel, ins[0].rel)
-    o_out = np.array([p.out_card for p in outs])
-    i_out = np.array([p.out_card for p in ins])
-    og = o_out[:, None] * i_out[None, :]
-    out_grid = og * cs
-    pa = np.array([p.cost for p in outs])
-    pb = np.array([p.cost for p in ins])
-    n_metrics = pa.shape[1]
-    zeros = np.zeros_like(og)
-
-    # Candidate cost grids per operator, replicating the scalar evaluation
-    # order so accepted plans carry bit-identical cached costs.
-    sort_o = sort_i = None
-    per_op = []
-    for op in join_ops:
-        if op.kind == "nested_loop":
-            grids = (og * op.loop_factor + out_grid, np.full_like(og, 2.0), zeros)
-        elif op.kind == "hash":
-            grids = (
-                (o_out[:, None] + i_out[None, :]) + out_grid,
-                np.broadcast_to(o_out[:, None], og.shape),
-                zeros,
-            )
-        else:
-            if sort_o is None:
-                sort_o = np.array([x * math.log2(1.0 + x) for x in o_out.tolist()])
-                sort_i = np.array([x * math.log2(1.0 + x) for x in i_out.tolist()])
-            grids = (
-                (sort_o[:, None] + sort_i[None, :]) + out_grid,
-                np.full_like(og, op.buffer_pages),
-                o_out[:, None] + i_out[None, :],
-            )
-        local = np.stack(
-            [
-                np.maximum(1.0, np.broadcast_to(grids[k], og.shape))
-                for k in model.metrics
-            ],
-            axis=-1,
-        )
-        per_op.append((local + pa[:, None, :]) + pb[None, :, :])
-
-    flat = np.stack(per_op, axis=2).reshape(ka * kb * n_ops, n_metrics)
+    rows = []
+    for o in outs:
+        oc = o.out_card
+        ocost = o.cost
+        for i in ins:
+            ic = i.out_card
+            icost = i.cost
+            out = oc * ic * cs
+            for op in range(n_ops):
+                local = join_local_cost(op, oc, ic, out)
+                rows.append(
+                    tuple((l + a) + b for l, a, b in zip(local, ocost, icost))
+                )
+    flat = np.array(rows)
+    n_metrics = model.n_metrics
+    kb = len(ins)
     reject = np.zeros(len(flat), dtype=bool)
     snapshot: dict = {}
     for old in plans:
@@ -460,10 +450,10 @@ def offer_join_combinations(
         op_idx = flat_idx % n_ops
         pair = flat_idx // n_ops
         fmt = join_ops[op_idx].fmt
-        row = flat[flat_idx]
+        row = rows[flat_idx]
         covered = False
         for prev in accepted:
-            if prev.fmt is fmt and approx_dominates(prev.cost, tuple(row), alpha):
+            if prev.fmt is fmt and approx_dominates(prev.cost, row, alpha):
                 covered = True
                 break
         if covered:
@@ -507,14 +497,7 @@ def _approximate_rec(
         return
     _approximate_rec(model, plan.outer, cache, alpha)
     _approximate_rec(model, plan.inner, cache, alpha)
-    delta = offer_join_combinations(
-        model,
-        cache.frontier(plan.rel),
-        cache.frontier(plan.outer.rel),
-        cache.frontier(plan.inner.rel),
-        alpha,
-    )
-    cache._grew(delta)
+    cache.offer_joins(model, plan, alpha)
 
 
 @dataclass(frozen=True)
@@ -550,7 +533,6 @@ def rmq_optimize(
     progress_sink: ProgressSink | None = None,
     cache: PlanCache | None = None,
     rules: tuple = DEFAULT_RULES,
-    schedule: Callable[[int], float] = alpha_schedule,
 ) -> Archive:
     """Randomized multi-objective optimization of the model's query.
 
@@ -570,8 +552,7 @@ def rmq_optimize(
         iteration += 1
         plan = random_plan(model, rng)
         climbed = pareto_climb(model, plan, rules).plan
-        alpha = max(1.0, schedule(iteration))
-        _approximate_rec(model, climbed, cache, alpha)
+        approximate_frontiers(model, climbed, cache, iteration)
         if progress_sink is not None:
             progress_sink(time.perf_counter() - start, cache.frontier(full))
     log.debug("cache after %d iterations: %s", iteration, cache.stats())

@@ -48,6 +48,22 @@ class TestEpsilonIndicator:
         with pytest.raises(ValueError):
             epsilon_indicator([(1.0, 1.0)], [])
 
+    @pytest.mark.parametrize(
+        "cand, ref",
+        [
+            ([(math.inf, 1.0)], [(2.0, 2.0)]),
+            ([(1.0, 1.0)], [(math.inf, 2.0)]),
+            ([(math.inf, 1.0)], [(math.inf, 2.0)]),
+            ([(1.0, 1.0)], [(math.nan, 2.0)]),
+            ([(math.nan, 1.0)], [(2.0, 2.0)]),
+            ([(1.0, 1.0), (2.0, -math.inf)], [(2.0, 2.0)]),
+            ([], [(math.inf, 1.0)]),
+        ],
+    )
+    def test_non_finite_rejected(self, cand, ref):
+        with pytest.raises(ValueError, match="finite"):
+            epsilon_indicator(cand, ref)
+
     def test_metric_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             epsilon_indicator([(1.0, 1.0)], [(1.0, 1.0, 1.0)])

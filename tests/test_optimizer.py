@@ -730,18 +730,6 @@ class TestRmqOptimize:
         arc = rmq_optimize(m, Budget(max_iterations=8600), seed=7)
         assert sorted(arc.costs()) == sorted(exact.costs())
 
-    def test_custom_schedule(self):
-        # a constant exact schedule turns the cache into a strict frontier
-        from moqo.baselines import exhaustive_frontier
-
-        spec = GenSpec(n=3, topology=Topology.CHAIN, seed=2)
-        m = CostModel(generate_query(spec))
-        arc = rmq_optimize(
-            m, Budget(max_iterations=60), seed=3, schedule=lambda i: 1.0
-        )
-        exact = exhaustive_frontier(m)
-        assert sorted(arc.costs()) == sorted(exact.costs())
-
 
 class TestBudget:
     def test_needs_some_limit(self):
