@@ -27,7 +27,7 @@ from moqo.costmodel import (
     Topology,
 )
 from moqo.harness import epsilon_indicator
-from moqo.optimizer import Budget
+from moqo.optimizer import Budget, rmq_optimize
 from moqo.querygen import GenSpec, SelectivityMode, generate_query
 
 
@@ -294,6 +294,55 @@ class TestRun2p:
         assert epsilon_indicator(big.costs(), exact) <= epsilon_indicator(
             small.costs(), exact
         )
+
+
+ANYTIME_RUNNERS = [rmq_optimize, run_ii, run_sa, run_2p, run_nsga2]
+
+
+@pytest.mark.parametrize("runner", ANYTIME_RUNNERS, ids=lambda f: f.__name__)
+class TestSinkContract:
+    """Every anytime runner calls its progress sink once per budget
+    iteration, with non-decreasing elapsed times."""
+
+    def test_one_call_per_iteration(self, runner):
+        m = model_for(4, 1)
+        times = []
+        runner(
+            m,
+            Budget(max_iterations=12),
+            seed=3,
+            progress_sink=lambda t, plans: times.append(t),
+        )
+        assert len(times) == 12
+        assert times == sorted(times)
+
+    def test_zero_budget_never_calls(self, runner):
+        m = model_for(4, 1)
+        calls = []
+        arc = runner(
+            m,
+            Budget(max_iterations=0),
+            seed=3,
+            progress_sink=lambda t, plans: calls.append(t),
+        )
+        assert calls == []
+        assert len(arc) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sa_freeze_stops_early(seed):
+    # start temperature 2.0 halves per stage, so it first falls below the
+    # 1e-3 freeze temperature after 11 stages
+    config = SaConfig(neighbors_per_table=2, cooling=0.5, freeze_stages=1)
+    calls = []
+    run_sa(
+        model_for(4, seed),
+        Budget(max_iterations=200),
+        seed=seed,
+        progress_sink=lambda t, plans: calls.append(t),
+        config=config,
+    )
+    assert 11 <= len(calls) < 200
 
 
 class TestNsga2Pieces:
