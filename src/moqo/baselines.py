@@ -3,7 +3,9 @@ iterative improvement, simulated annealing, two-phase optimization and
 NSGA-II.
 
 All anytime runners share the signature (model, budget, seed,
-progress_sink) so the benchmark harness can treat them uniformly. The
+progress_sink) so the benchmark harness can treat them uniformly, and
+all of them run their iterations through ``optimizer.anytime``, the one
+loop that checks the budget and feeds the progress sink. The
 exhaustive oracle and the DP scheme are deliberately separate
 implementations of frontier search; their agreement at full precision is
 the package's keystone correctness check. The exhaustive oracle is a
@@ -25,9 +27,9 @@ import numpy as np
 from .core import Archive, Plan, strictly_dominates
 from .costmodel import CostModel
 from .optimizer import (
-    DEFAULT_RULES,
     Budget,
     ProgressSink,
+    anytime,
     mutations,
     offer_join_combinations,
     pareto_climb,
@@ -131,20 +133,16 @@ def run_ii(
     budget: Budget,
     seed: int = 0,
     progress_sink: ProgressSink | None = None,
-    rules: tuple = DEFAULT_RULES,
 ) -> Archive:
     """Iterative improvement: climb fresh random plans to local Pareto
     optima and archive every result."""
     rng = random.Random(seed)
     archive = Archive()
-    start = time.perf_counter()
-    iteration = 0
-    while not budget.exhausted(iteration, time.perf_counter() - start):
-        iteration += 1
-        plan = random_plan(model, rng)
-        archive.insert(pareto_climb(model, plan, rules).plan)
-        if progress_sink is not None:
-            progress_sink(time.perf_counter() - start, archive.entries)
+
+    def step(iteration: int) -> None:
+        archive.insert(pareto_climb(model, random_plan(model, rng)).plan)
+
+    anytime(budget, step, lambda: archive.entries, progress_sink)
     return archive
 
 
@@ -163,11 +161,7 @@ class SaConfig:
 class SaState:
     current: Plan
     temperature: float
-    stage: int = 0
     unimproved_stages: int = 0
-
-
-_SA_RULES = tuple(r for r in DEFAULT_RULES if r != "identity")
 
 
 def _random_neighbor(model: CostModel, plan: Plan, rng: random.Random) -> Plan:
@@ -178,7 +172,7 @@ def _random_neighbor(model: CostModel, plan: Plan, rng: random.Random) -> Plan:
 
 def _mutate_at(model: CostModel, plan: Plan, idx: int, rng: random.Random) -> Plan:
     if idx == 0:
-        options = mutations(model, plan, _SA_RULES)
+        options = mutations(model, plan)[1:]
         if not options:
             return plan
         return options[rng.randrange(len(options))]
@@ -193,56 +187,44 @@ def _mutate_at(model: CostModel, plan: Plan, idx: int, rng: random.Random) -> Pl
     )
 
 
-def _sa_loop(
+def _sa_stage(
     model: CostModel,
-    budget: Budget,
     rng: random.Random,
     archive: Archive,
     state: SaState,
     config: SaConfig,
-    progress_sink: ProgressSink | None,
-    start_time: float,
-    iterations_done: int,
-) -> int:
-    """Run annealing stages until the budget expires or the state
-    freezes. Returns the updated iteration count."""
-    neighbors = config.neighbors_per_table * model.query.n
+) -> bool:
+    """Run one annealing stage, then cool. Returns True once the state is
+    frozen: cold, and without an archive gain for enough stages."""
     n_metrics = model.n_metrics
-    while not budget.exhausted(iterations_done, time.perf_counter() - start_time):
-        iterations_done += 1
-        state.stage += 1
-        improved = False
-        for _ in range(neighbors):
-            neighbor = _random_neighbor(model, state.current, rng)
-            if archive.insert(neighbor):
-                improved = True
-            if strictly_dominates(neighbor.cost, state.current.cost):
-                state.current = neighbor
-                continue
-            delta = (
-                sum(
-                    (nb - cur) / cur
-                    for nb, cur in zip(neighbor.cost, state.current.cost)
-                )
-                / n_metrics
+    improved = False
+    for _ in range(config.neighbors_per_table * model.query.n):
+        neighbor = _random_neighbor(model, state.current, rng)
+        if archive.insert(neighbor):
+            improved = True
+        if strictly_dominates(neighbor.cost, state.current.cost):
+            state.current = neighbor
+            continue
+        delta = (
+            sum(
+                (nb - cur) / cur
+                for nb, cur in zip(neighbor.cost, state.current.cost)
             )
-            if delta < 0.0:
-                delta = 0.0
-            if rng.random() < math.exp(-delta / state.temperature):
-                state.current = neighbor
-        state.temperature *= config.cooling
-        if improved:
-            state.unimproved_stages = 0
-        else:
-            state.unimproved_stages += 1
-        if progress_sink is not None:
-            progress_sink(time.perf_counter() - start_time, archive.entries)
-        if (
-            state.temperature < config.freeze_temperature
-            and state.unimproved_stages >= config.freeze_stages
-        ):
-            break
-    return iterations_done
+            / n_metrics
+        )
+        if delta < 0.0:
+            delta = 0.0
+        if rng.random() < math.exp(-delta / state.temperature):
+            state.current = neighbor
+    state.temperature *= config.cooling
+    if improved:
+        state.unimproved_stages = 0
+    else:
+        state.unimproved_stages += 1
+    return (
+        state.temperature < config.freeze_temperature
+        and state.unimproved_stages >= config.freeze_stages
+    )
 
 
 def run_sa(
@@ -262,17 +244,19 @@ def run_sa(
     """
     rng = random.Random(seed)
     archive = Archive()
-    start_time = time.perf_counter()
-    if budget.exhausted(0, 0.0):
-        return archive
-    current = random_plan(model, rng)
-    archive.insert(current)
-    state = SaState(
-        current=current, temperature=config.start_temperature_scale * 1.0
-    )
-    _sa_loop(
-        model, budget, rng, archive, state, config, progress_sink, start_time, 0
-    )
+    state = None
+
+    def step(iteration: int) -> bool:
+        nonlocal state
+        if state is None:
+            current = random_plan(model, rng)
+            archive.insert(current)
+            state = SaState(
+                current=current, temperature=config.start_temperature_scale * 1.0
+            )
+        return _sa_stage(model, rng, archive, state, config)
+
+    anytime(budget, step, lambda: archive.entries, progress_sink)
     return archive
 
 
@@ -287,41 +271,33 @@ def run_2p(
     """Two-phase optimization: a short iterative-improvement burst, then
     annealing from the archive plan with the lowest normalized cost sum
     (per-metric costs divided by the archive minima)."""
+    if improvement_iterations < 1:
+        raise ValueError(
+            f"improvement_iterations must be >= 1, got {improvement_iterations}"
+        )
     rng = random.Random(seed)
     archive = Archive()
-    start_time = time.perf_counter()
-    iterations = 0
-    while iterations < improvement_iterations and not budget.exhausted(
-        iterations, time.perf_counter() - start_time
-    ):
-        iterations += 1
-        plan = random_plan(model, rng)
-        archive.insert(pareto_climb(model, plan).plan)
-        if progress_sink is not None:
-            progress_sink(time.perf_counter() - start_time, archive.entries)
-    if not archive.entries:
-        return archive
-    mins = [
-        min(plan.cost[k] for plan in archive.entries)
-        for k in range(model.n_metrics)
-    ]
+    state = None
 
-    def normalized_sum(plan: Plan) -> float:
-        return sum(c / m for c, m in zip(plan.cost, mins))
+    def step(iteration: int) -> bool:
+        nonlocal state
+        if iteration <= improvement_iterations:
+            archive.insert(pareto_climb(model, random_plan(model, rng)).plan)
+            return False
+        if state is None:
+            mins = [
+                min(plan.cost[k] for plan in archive.entries)
+                for k in range(model.n_metrics)
+            ]
 
-    handoff = min(archive.entries, key=normalized_sum)
-    state = SaState(current=handoff, temperature=0.1 * normalized_sum(handoff))
-    _sa_loop(
-        model,
-        budget,
-        rng,
-        archive,
-        state,
-        config,
-        progress_sink,
-        start_time,
-        iterations,
-    )
+            def normalized_sum(plan: Plan) -> float:
+                return sum(c / m for c, m in zip(plan.cost, mins))
+
+            handoff = min(archive.entries, key=normalized_sum)
+            state = SaState(current=handoff, temperature=0.1 * normalized_sum(handoff))
+        return _sa_stage(model, rng, archive, state, config)
+
+    anytime(budget, step, lambda: archive.entries, progress_sink)
     return archive
 
 
@@ -446,7 +422,6 @@ def run_nsga2(
     bounds = gene_bounds(model)
     n_genes = len(bounds)
     mutation_rate = 1.0 / n_genes
-    start_time = time.perf_counter()
     population: list = []
 
     def evaluate(genes: list) -> Nsga2Individual:
@@ -461,9 +436,8 @@ def run_nsga2(
                 out[g] = rng.randint(0, bounds[g])
         return out
 
-    iteration = 0
-    while not budget.exhausted(iteration, time.perf_counter() - start_time):
-        iteration += 1
+    def step(iteration: int) -> None:
+        nonlocal population
         if not population:
             population = [
                 evaluate([rng.randint(0, hi) for hi in bounds])
@@ -485,6 +459,6 @@ def run_nsga2(
             _rank_population(combined)
             combined.sort(key=lambda ind: (ind.rank, -ind.crowding))
             population = combined[:population_size]
-        if progress_sink is not None:
-            progress_sink(time.perf_counter() - start_time, archive.entries)
+
+    anytime(budget, step, lambda: archive.entries, progress_sink)
     return archive

@@ -21,10 +21,12 @@ from .harness import (
     BASE_ALGORITHMS,
     ClimbStatsConfig,
     ExperimentConfig,
+    SAMPLES_HEADER,
     ReferenceMode,
     climb_stats,
     parse_catalog_spec,
     run_experiment,
+    sample_row,
 )
 from .querygen import GenSpec, SelectivityMode, generate_query
 
@@ -245,10 +247,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise _ConfigError(str(exc)) from exc
     samples, aggregates = run_experiment(cfg)
     if not cfg.output_path:
-        print("algorithm,seed,elapsed_ms,alpha_error")
+        print(SAMPLES_HEADER)
         for s in samples:
-            err = "inf" if s.alpha_error == float("inf") else repr(s.alpha_error)
-            print(f"{s.algorithm},{s.seed},{s.elapsed_ms:g},{err}")
+            print(sample_row(s))
     else:
         print(f"wrote {len(samples)} samples to {cfg.output_path}")
     return 0

@@ -208,10 +208,6 @@ class Plan:
         return f"({self.outer!r} >< {self.inner!r})/j{self.join_op}"
 
 
-def same_output(p1: Plan, p2: Plan) -> bool:
-    return p1.fmt is p2.fmt
-
-
 class Archive:
     """Set of plans that are mutually non-dominated within each format.
 

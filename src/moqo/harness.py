@@ -332,17 +332,22 @@ def _format_error(value: float) -> str:
     return "inf" if math.isinf(value) else repr(value)
 
 
+SAMPLES_HEADER = "algorithm,seed,elapsed_ms,alpha_error"
+
+
+def sample_row(s: SamplePoint) -> str:
+    """One samples-CSV data line, without its newline."""
+    return f"{s.algorithm},{s.seed},{s.elapsed_ms:g},{_format_error(s.alpha_error)}"
+
+
 def write_samples_csv(path: str, cfg: ExperimentConfig, samples: list) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             for line in cfg.resolved_lines():
                 fh.write(f"# {line}\n")
-            fh.write("algorithm,seed,elapsed_ms,alpha_error\n")
+            fh.write(SAMPLES_HEADER + "\n")
             for s in samples:
-                fh.write(
-                    f"{s.algorithm},{s.seed},{s.elapsed_ms:g},"
-                    f"{_format_error(s.alpha_error)}\n"
-                )
+                fh.write(sample_row(s) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write samples CSV to {path!r}: {exc}") from exc
 
@@ -369,7 +374,7 @@ def read_samples_csv(path: str) -> list:
             if not line or line.startswith("#"):
                 continue
             if not header_seen:
-                if line != "algorithm,seed,elapsed_ms,alpha_error":
+                if line != SAMPLES_HEADER:
                     raise ValueError(f"unexpected CSV header in {path!r}: {line}")
                 header_seen = True
                 continue

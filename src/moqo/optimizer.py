@@ -23,33 +23,12 @@ from .core import (
     Plan,
     TableSet,
     approx_dominates,
-    same_output,
     strictly_dominates,
     weakly_dominates,
 )
 from .costmodel import CostModel
 
 log = logging.getLogger(__name__)
-
-# Mutation rules in their fixed enumeration order.
-RULE_IDENTITY = "identity"
-RULE_COMMUTATIVITY = "commutativity"
-RULE_RIGHT_ROTATION = "right_rotation"
-RULE_LEFT_ROTATION = "left_rotation"
-RULE_LEFT_EXCHANGE = "left_exchange"
-RULE_RIGHT_EXCHANGE = "right_exchange"
-RULE_OPERATOR = "operator"
-
-DEFAULT_RULES = (
-    RULE_IDENTITY,
-    RULE_COMMUTATIVITY,
-    RULE_RIGHT_ROTATION,
-    RULE_LEFT_ROTATION,
-    RULE_LEFT_EXCHANGE,
-    RULE_RIGHT_EXCHANGE,
-    RULE_OPERATOR,
-)
-
 
 class CacheLimitError(RuntimeError):
     """Raised when the plan cache exceeds its configured hard size cap."""
@@ -117,74 +96,43 @@ def _random_shape(n: int, rng: random.Random) -> _ShapeNode:
     return root
 
 
-def mutations(
-    model: CostModel, plan: Plan, rules: tuple = DEFAULT_RULES
-) -> list:
+def mutations(model: CostModel, plan: Plan) -> list:
     """All single transformations applicable at the plan's root.
 
-    Includes the plan itself so that downstream pruning can retain an
-    unmutated but sub-tree-improved plan. Rotations and exchanges keep
-    the root operator at the root and reuse the displaced child's
-    operator for the newly formed child node. Results that introduce
-    cross products are legal.
+    The plan itself comes first, so that downstream pruning can retain an
+    unmutated but sub-tree-improved plan. Then follow commutativity,
+    right and left rotation, left and right exchange, and finally every
+    other operator for the root. Rotations and exchanges keep the root
+    operator at the root and reuse the displaced child's operator for the
+    newly formed child node. Results that introduce cross products are
+    legal.
     """
-    out: list = []
-    for rule in rules:
-        if rule == RULE_IDENTITY:
-            out.append(plan)
-        elif not plan.is_join:
-            if rule == RULE_OPERATOR:
-                for op in range(len(model.catalog.scan_ops)):
-                    if op != plan.scan_op:
-                        out.append(model.leaf(plan.table, op))
-        elif rule == RULE_COMMUTATIVITY:
-            out.append(model.join(plan.inner, plan.outer, plan.join_op))
-        elif rule == RULE_RIGHT_ROTATION:
-            o = plan.outer
-            if o.is_join:
-                fresh = model.join(o.inner, plan.inner, o.join_op)
-                out.append(model.join(o.outer, fresh, plan.join_op))
-        elif rule == RULE_LEFT_ROTATION:
-            i = plan.inner
-            if i.is_join:
-                fresh = model.join(plan.outer, i.outer, i.join_op)
-                out.append(model.join(fresh, i.inner, plan.join_op))
-        elif rule == RULE_LEFT_EXCHANGE:
-            o = plan.outer
-            if o.is_join:
-                fresh = model.join(o.outer, plan.inner, o.join_op)
-                out.append(model.join(fresh, o.inner, plan.join_op))
-        elif rule == RULE_RIGHT_EXCHANGE:
-            i = plan.inner
-            if i.is_join:
-                fresh = model.join(plan.outer, i.inner, i.join_op)
-                out.append(model.join(i.outer, fresh, plan.join_op))
-        elif rule == RULE_OPERATOR:
-            for op in range(len(model.catalog.join_ops)):
-                if op != plan.join_op:
-                    out.append(model.join(plan.outer, plan.inner, op))
+    if not plan.is_join:
+        out = [plan]
+        for op in range(len(model.catalog.scan_ops)):
+            if op != plan.scan_op:
+                out.append(model.leaf(plan.table, op))
+        return out
+    join = model.join
+    o = plan.outer
+    i = plan.inner
+    root_op = plan.join_op
+    out = [plan, join(i, o, root_op)]
+    if o.is_join:
+        out.append(join(o.outer, join(o.inner, i, o.join_op), root_op))
+    if i.is_join:
+        out.append(join(join(o, i.outer, i.join_op), i.inner, root_op))
+    if o.is_join:
+        out.append(join(join(o.outer, i, o.join_op), o.inner, root_op))
+    if i.is_join:
+        out.append(join(i.outer, join(o, i.inner, i.join_op), root_op))
+    for op in range(len(model.catalog.join_ops)):
+        if op != root_op:
+            out.append(join(o, i, op))
     return out
 
 
-def prune_strict(plans: list, new_plan: Plan) -> list:
-    """Strict-dominance pruning: reject the newcomer if a same-format
-    plan strictly dominates it, else insert it and drop every same-format
-    plan it strictly dominates. Mutates and returns the list."""
-    for old in plans:
-        if old.fmt is new_plan.fmt and strictly_dominates(old.cost, new_plan.cost):
-            return plans
-    plans[:] = [
-        old
-        for old in plans
-        if not (old.fmt is new_plan.fmt and strictly_dominates(new_plan.cost, old.cost))
-    ]
-    plans.append(new_plan)
-    return plans
-
-
-def pareto_step(
-    model: CostModel, plan: Plan, rules: tuple = DEFAULT_RULES
-) -> list:
+def pareto_step(model: CostModel, plan: Plan) -> list:
     """One parallel improvement pass over the whole tree.
 
     Sub-plans are improved recursively; every pair of improved sub-plans
@@ -195,42 +143,31 @@ def pareto_step(
     survives at a local optimum. Result order follows first appearance
     of each format.
     """
-    return _pareto_step_memo(model, plan, rules, {})
+    return _pareto_step_memo(model, plan, {})
 
 
-def _pareto_step_memo(
-    model: CostModel, plan: Plan, rules: tuple, memo: dict
-) -> list:
+def _pareto_step_memo(model: CostModel, plan: Plan, memo: dict) -> list:
     # memo is keyed by node identity; subtrees shared between successive
     # climb adoptions reuse their step results unchanged
     got = memo.get(plan)
     if got is not None:
         return got
+    if plan.is_join:
+        outer = plan.outer
+        inner = plan.inner
+        roots = (
+            plan if o is outer and i is inner else model.join(o, i, plan.join_op)
+            for o in _pareto_step_memo(model, outer, memo)
+            for i in _pareto_step_memo(model, inner, memo)
+        )
+    else:
+        roots = (plan,)
     # at most two output formats exist; two slots in first-appearance
     # order avoid a dict in the innermost loop
     first = None
     second = None
-    if plan.is_join:
-        improved_outer = _pareto_step_memo(model, plan.outer, rules, memo)
-        improved_inner = _pareto_step_memo(model, plan.inner, rules, memo)
-        for o in improved_outer:
-            for i in improved_inner:
-                if o is plan.outer and i is plan.inner:
-                    root = plan
-                else:
-                    root = model.join(o, i, plan.join_op)
-                for cand in mutations(model, root, rules):
-                    if first is None:
-                        first = cand
-                    elif cand.fmt is first.fmt:
-                        if strictly_dominates(cand.cost, first.cost):
-                            first = cand
-                    elif second is None:
-                        second = cand
-                    elif strictly_dominates(cand.cost, second.cost):
-                        second = cand
-    else:
-        for cand in mutations(model, plan, rules):
+    for root in roots:
+        for cand in mutations(model, root):
             if first is None:
                 first = cand
             elif cand.fmt is first.fmt:
@@ -255,9 +192,7 @@ class ClimbResult(NamedTuple):
     path_length: int
 
 
-def pareto_climb(
-    model: CostModel, plan: Plan, rules: tuple = DEFAULT_RULES
-) -> ClimbResult:
+def pareto_climb(model: CostModel, plan: Plan) -> ClimbResult:
     """Hill-climb until no step result strictly dominates the plan.
 
     Adopts the first strictly dominating plan in enumeration order, one
@@ -267,7 +202,7 @@ def pareto_climb(
     memo: dict = {}
     while True:
         adopted = None
-        for cand in _pareto_step_memo(model, plan, rules, memo):
+        for cand in _pareto_step_memo(model, plan, memo):
             if strictly_dominates(cand.cost, plan.cost):
                 adopted = cand
                 break
@@ -284,14 +219,6 @@ def alpha_schedule(i: int) -> float:
     return 25.0 * 0.99 ** (i // 25)
 
 
-def sig_better(p1: Plan, p2: Plan, alpha: float) -> bool:
-    """p1 beats p2 significantly: same output format and p1's cost is
-    within factor alpha of dominating p2's in every metric."""
-    if alpha < 1.0:
-        raise ValueError(f"approximation factor must be >= 1, got {alpha}")
-    return same_output(p1, p2) and approx_dominates(p1.cost, p2.cost, alpha)
-
-
 def prune_approx(plans: list, new_plan: Plan, alpha: float) -> list:
     """Approximate-frontier insertion: reject the newcomer if an existing
     same-format plan alpha-approximately dominates it; otherwise drop
@@ -299,10 +226,16 @@ def prune_approx(plans: list, new_plan: Plan, alpha: float) -> list:
     Mutates and returns the list."""
     if alpha < 1.0:
         raise ValueError(f"approximation factor must be >= 1, got {alpha}")
+    fmt = new_plan.fmt
+    cost = new_plan.cost
     for old in plans:
-        if sig_better(old, new_plan, alpha):
+        if old.fmt is fmt and approx_dominates(old.cost, cost, alpha):
             return plans
-    plans[:] = [old for old in plans if not sig_better(new_plan, old, 1.0)]
+    plans[:] = [
+        old
+        for old in plans
+        if not (old.fmt is fmt and approx_dominates(cost, old.cost, 1.0))
+    ]
     plans.append(new_plan)
     return plans
 
@@ -526,13 +459,36 @@ class Budget:
 ProgressSink = Callable[[float, list], None]
 
 
+def anytime(
+    budget: Budget,
+    step: Callable[[int], bool | None],
+    frontier: Callable[[], list],
+    progress_sink: ProgressSink | None,
+) -> int:
+    """The loop every anytime search runs: call ``step`` with iteration
+    counts 1, 2, ... until the budget is exhausted or a step returns True.
+
+    After every step the progress sink, if given, sees the elapsed time
+    and the current ``frontier()``. Returns the number of steps run.
+    """
+    start = time.perf_counter()
+    iteration = 0
+    while not budget.exhausted(iteration, time.perf_counter() - start):
+        iteration += 1
+        stop = step(iteration)
+        if progress_sink is not None:
+            progress_sink(time.perf_counter() - start, frontier())
+        if stop:
+            break
+    return iteration
+
+
 def rmq_optimize(
     model: CostModel,
     budget: Budget,
     seed: int = 0,
     progress_sink: ProgressSink | None = None,
     cache: PlanCache | None = None,
-    rules: tuple = DEFAULT_RULES,
 ) -> Archive:
     """Randomized multi-objective optimization of the model's query.
 
@@ -546,16 +502,13 @@ def rmq_optimize(
     if cache is None:
         cache = PlanCache()
     full = model.full_set
-    start = time.perf_counter()
-    iteration = 0
-    while not budget.exhausted(iteration, time.perf_counter() - start):
-        iteration += 1
-        plan = random_plan(model, rng)
-        climbed = pareto_climb(model, plan, rules).plan
+
+    def step(iteration: int) -> None:
+        climbed = pareto_climb(model, random_plan(model, rng)).plan
         approximate_frontiers(model, climbed, cache, iteration)
-        if progress_sink is not None:
-            progress_sink(time.perf_counter() - start, cache.frontier(full))
-    log.debug("cache after %d iterations: %s", iteration, cache.stats())
+
+    iterations = anytime(budget, step, lambda: cache.frontier(full), progress_sink)
+    log.debug("cache after %d iterations: %s", iterations, cache.stats())
     archive = Archive()
     for plan in cache.frontier(full):
         archive.insert(plan)

@@ -26,7 +26,6 @@ from moqo.core import (
     Plan,
     TableSet,
     approx_dominates,
-    strictly_dominates,
     weakly_dominates,
 )
 from moqo.costmodel import CostModel, Topology
@@ -42,7 +41,6 @@ from moqo.optimizer import (
     Budget,
     PlanCache,
     prune_approx,
-    prune_strict,
     random_plan,
     rmq_optimize,
 )
@@ -220,22 +218,14 @@ def _leaf_plan(cost, fmt):
     )
 
 
-def _naive_prune(plans, new_plan, alpha, strict):
+def _naive_prune(plans, new_plan, alpha):
     """Reference pruning: literal transcription of the insertion rules."""
 
     def rejects(old, new):
-        if old.fmt is not new.fmt:
-            return False
-        if strict:
-            return strictly_dominates(old.cost, new.cost)
-        return approx_dominates(old.cost, new.cost, alpha)
+        return old.fmt is new.fmt and approx_dominates(old.cost, new.cost, alpha)
 
     def evicts(new, old):
-        if new.fmt is not old.fmt:
-            return False
-        if strict:
-            return strictly_dominates(new.cost, old.cost)
-        return approx_dominates(new.cost, old.cost, 1.0)
+        return new.fmt is old.fmt and approx_dominates(new.cost, old.cost, 1.0)
 
     for old in plans:
         if rejects(old, new_plan):
@@ -306,18 +296,13 @@ class TestCriterion7:
         failures = 0
         for _ in range(400):
             alpha = rng.choice([1.0, 1.2, 2.0, 25.0])
-            strict_got, strict_want = [], []
             approx_got, approx_want = [], []
             for _ in range(30):
                 fmt = rng.choice([OutputFormat.PIPELINED, OutputFormat.MATERIALIZED])
                 cost = tuple(float(rng.randint(1, 6)) for _ in range(2))
                 plan = _leaf_plan(cost, fmt)
-                prune_strict(strict_got, plan)
-                _naive_prune(strict_want, plan, alpha, strict=True)
                 prune_approx(approx_got, plan, alpha)
-                _naive_prune(approx_want, plan, alpha, strict=False)
-            if [id(p) for p in strict_got] != [id(p) for p in strict_want]:
-                failures += 1
+                _naive_prune(approx_want, plan, alpha)
             if [id(p) for p in approx_got] != [id(p) for p in approx_want]:
                 failures += 1
         return failures

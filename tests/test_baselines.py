@@ -279,6 +279,11 @@ class TestRun2p:
         b = run_2p(m, Budget(max_iterations=40), seed=8)
         assert sorted(a.costs()) == sorted(b.costs())
 
+    def test_no_improvement_phase_rejected(self):
+        # annealing starts from a climbed plan, so at least one must exist
+        with pytest.raises(ValueError):
+            run_2p(model_for(4, 1), Budget(max_iterations=5), improvement_iterations=0)
+
     def test_tiny_budget_stops_in_first_phase(self):
         m = model_for(5, 2)
         arc = run_2p(m, Budget(max_iterations=3), seed=8)

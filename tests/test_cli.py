@@ -179,6 +179,28 @@ class TestRun:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    def test_stdout_rows_equal_csv_rows(self, tmp_path, capsys):
+        args = (
+            "run",
+            "--tables", "4",
+            "--algos", "rmq,sa,2p",
+            "--budget-iters", "15",
+            "--sample-ms", "5",
+            "--seeds", "0,1",
+        )
+        out_path = tmp_path / "r.csv"
+        code_a, out, _ = run_cli(capsys, *args)
+        code_b, _, _ = run_cli(capsys, *args, "--out", str(out_path))
+        assert code_a == code_b == 0
+        printed = out.strip().splitlines()
+        written = [
+            line
+            for line in out_path.read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert len(printed) > 1
+        assert printed == written
+
     def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,

@@ -11,7 +11,6 @@ from moqo.core import (
     Plan,
     TableSet,
     approx_dominates,
-    same_output,
     strictly_dominates,
     weakly_dominates,
 )
@@ -236,13 +235,6 @@ class TestPlan:
         assert a != b
         assert a == a
         assert len({a, b}) == 2
-
-    def test_same_output(self):
-        a = make_leaf(0, fmt=OutputFormat.PIPELINED)
-        b = make_leaf(1, fmt=OutputFormat.MATERIALIZED)
-        c = make_leaf(2, fmt=OutputFormat.PIPELINED)
-        assert same_output(a, c)
-        assert not same_output(a, b)
 
 
 class TestArchive:

@@ -26,9 +26,6 @@ from moqo.costmodel import (
     materializing_catalog,
 )
 from moqo.optimizer import (
-    DEFAULT_RULES,
-    RULE_COMMUTATIVITY,
-    RULE_IDENTITY,
     Budget,
     CacheLimitError,
     PlanCache,
@@ -39,10 +36,8 @@ from moqo.optimizer import (
     pareto_climb,
     pareto_step,
     prune_approx,
-    prune_strict,
     random_plan,
     rmq_optimize,
-    sig_better,
 )
 from moqo.querygen import GenSpec, generate_query
 
@@ -173,28 +168,31 @@ class TestMutations:
         assert rotated[0].inner.join_op == 2
 
     def test_identity_rule_only(self):
-        m = CostModel(query(3))
-        p = m.join(m.join(m.leaf(0, 0), m.leaf(1, 0), 0), m.leaf(2, 0), 0)
-        assert mutations(m, p, (RULE_IDENTITY,)) == [p]
+        # a leaf with a single scan operator admits no other mutation
+        m = CostModel(query(1), single_op_catalog())
+        leaf = m.leaf(0, 0)
+        assert mutations(m, leaf) == [leaf]
 
-    def test_commutativity_only_on_leaf(self):
-        m = CostModel(query(1))
-        assert mutations(m, m.leaf(0, 0), (RULE_COMMUTATIVITY,)) == []
-
-
-def naive_prune_strict(plans, new_plan):
-    for old in plans:
-        if old.fmt is new_plan.fmt and strictly_dominates(old.cost, new_plan.cost):
-            return plans
-    plans[:] = [
-        p
-        for p in plans
-        if not (
-            p.fmt is new_plan.fmt and strictly_dominates(new_plan.cost, p.cost)
-        )
-    ]
-    plans.append(new_plan)
-    return plans
+    def test_fixed_order(self):
+        # identity, commutation, right rotation, left rotation, left
+        # exchange, right exchange, then the other root operators
+        m = CostModel(query(4))
+        ab = m.join(m.leaf(0, 0), m.leaf(1, 0), 1)
+        cd = m.join(m.leaf(2, 0), m.leaf(3, 0), 2)
+        root = m.join(ab, cd, 0)
+        out = mutations(m, root)
+        assert out[0] is root
+        assert [shape_signature(p) for p in out] == [
+            "((t0t1)(t2t3))",
+            "((t2t3)(t0t1))",
+            "(t0(t1(t2t3)))",
+            "(((t0t1)t2)t3)",
+            "((t0(t2t3))t1)",
+            "(t2((t0t1)t3))",
+            "((t0t1)(t2t3))",
+            "((t0t1)(t2t3))",
+        ]
+        assert [p.join_op for p in out] == [0, 0, 0, 0, 0, 0, 1, 2]
 
 
 def naive_prune_approx(plans, new_plan, alpha):
@@ -223,43 +221,6 @@ def make_plan(cost, fmt=OutputFormat.PIPELINED, table=0):
         table=table,
         scan_op=0,
     )
-
-
-class TestPruneStrict:
-    def test_rejects_strictly_dominated(self):
-        lst = [make_plan((1.0, 1.0))]
-        prune_strict(lst, make_plan((2.0, 2.0)))
-        assert [p.cost for p in lst] == [(1.0, 1.0)]
-
-    def test_removes_strictly_dominated(self):
-        lst = [make_plan((3.0, 3.0)), make_plan((1.0, 5.0))]
-        prune_strict(lst, make_plan((2.0, 2.0)))
-        assert [p.cost for p in lst] == [(1.0, 5.0), (2.0, 2.0)]
-
-    def test_keeps_exact_ties(self):
-        lst = [make_plan((2.0, 2.0))]
-        prune_strict(lst, make_plan((2.0, 2.0)))
-        assert len(lst) == 2
-
-    def test_formats_independent(self):
-        lst = [make_plan((1.0, 1.0), fmt=OutputFormat.MATERIALIZED)]
-        prune_strict(lst, make_plan((5.0, 5.0), fmt=OutputFormat.PIPELINED))
-        assert len(lst) == 2
-
-    def test_conformance_random(self):
-        rng = random.Random(31)
-        for _ in range(300):
-            got, want = [], []
-            for _ in range(40):
-                plan = make_plan(
-                    tuple(float(rng.randint(1, 5)) for _ in range(2)),
-                    fmt=rng.choice(
-                        [OutputFormat.PIPELINED, OutputFormat.MATERIALIZED]
-                    ),
-                )
-                prune_strict(got, plan)
-                naive_prune_strict(want, plan)
-            assert [id(p) for p in got] == [id(p) for p in want]
 
 
 class TestPruneApprox:
@@ -303,23 +264,6 @@ class TestPruneApprox:
                 prune_approx(got, plan, alpha)
                 naive_prune_approx(want, plan, alpha)
             assert [id(p) for p in got] == [id(p) for p in want]
-
-
-class TestSigBetter:
-    def test_requires_same_format(self):
-        a = make_plan((1.0,), fmt=OutputFormat.PIPELINED)
-        b = make_plan((5.0,), fmt=OutputFormat.MATERIALIZED)
-        assert not sig_better(a, b, 10.0)
-
-    def test_factor_applies(self):
-        a = make_plan((2.0,))
-        b = make_plan((1.0,))
-        assert sig_better(a, b, 2.0)
-        assert not sig_better(a, b, 1.5)
-
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            sig_better(make_plan((1.0,)), make_plan((1.0,)), 0.9)
 
 
 def wide_catalog(n_scans, rng):
@@ -494,7 +438,7 @@ class TestParetoStep:
         memo = {}
         plan = random_plan(m, rng)
         for _ in range(6):
-            shared = _pareto_step_memo(m, plan, DEFAULT_RULES, memo)
+            shared = _pareto_step_memo(m, plan, memo)
             fresh = pareto_step(m, plan)
             assert [p.cost for p in shared] == [p.cost for p in fresh]
             adopted = None
@@ -517,7 +461,7 @@ class TestParetoClimb:
         m = CostModel(q, single_op_catalog(), metrics=(1,))
         start = m.join(m.leaf(0, 0), m.leaf(1, 0), 0)
         assert start.cost == (102.0,)
-        res = pareto_climb(m, start, (RULE_IDENTITY, RULE_COMMUTATIVITY))
+        res = pareto_climb(m, start)
         assert res.path_length == 1
         assert res.plan.cost == (12.0,)
         assert res.plan.outer.table == 1
