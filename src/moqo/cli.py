@@ -19,9 +19,9 @@ from .baselines import dp_frontier, exhaustive_frontier
 from .costmodel import CostModel, Topology
 from .harness import (
     BASE_ALGORITHMS,
+    SAMPLES_HEADER,
     ClimbStatsConfig,
     ExperimentConfig,
-    SAMPLES_HEADER,
     ReferenceMode,
     climb_stats,
     parse_catalog_spec,
