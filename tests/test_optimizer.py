@@ -691,3 +691,155 @@ class TestBudget:
         assert not b.exhausted(9, 4.9)
         assert b.exhausted(10, 0.0)
         assert b.exhausted(0, 5.0)
+
+
+def _float_bits(cost):
+    return [v.hex() for v in cost]
+
+
+def _reference_step(model, plan, memo):
+    """Plain Pareto step: build every candidate with ``mutations`` and keep,
+    per output format, the first one unless a later one strictly
+    dominates the incumbent. Formats keep their first-appearance order."""
+    got = memo.get(plan)
+    if got is not None:
+        return got
+    if plan.is_join:
+        roots = [
+            plan
+            if o is plan.outer and i is plan.inner
+            else model.join(o, i, plan.join_op)
+            for o in _reference_step(model, plan.outer, memo)
+            for i in _reference_step(model, plan.inner, memo)
+        ]
+    else:
+        roots = [plan]
+    slots = {}
+    for root in roots:
+        for cand in mutations(model, root):
+            best = slots.get(cand.fmt)
+            if best is None or strictly_dominates(cand.cost, best.cost):
+                slots[cand.fmt] = cand
+    result = list(slots.values())
+    memo[plan] = result
+    return result
+
+
+def _reference_climb(model, plan):
+    memo = {}
+    path_length = 0
+    while True:
+        for cand in _reference_step(model, plan, memo):
+            if strictly_dominates(cand.cost, plan.cost):
+                plan = cand
+                path_length += 1
+                break
+        else:
+            return plan, path_length
+
+
+def _step_view(plans):
+    return [(repr(p), _float_bits(p.cost), p.fmt) for p in plans]
+
+
+_CLIMB_SIZES = (2, 3, 8, 20, 50)
+_CLIMB_CASES = [
+    (n, topology)
+    for n in _CLIMB_SIZES
+    for topology in Topology
+    if not (topology is Topology.CYCLE and n < 3)
+]
+_CLIMB_METRICS = ((0, 1, 2), (0, 2), (1,))
+_CLIMB_CATALOGS = (default_catalog, materializing_catalog)
+
+
+def _climb_models(n, topology):
+    for metrics in _CLIMB_METRICS:
+        for catalog in _CLIMB_CATALOGS:
+            for seed in range(3):
+                spec = GenSpec(n=n, topology=topology, seed=seed)
+                yield seed, CostModel(generate_query(spec), catalog(), metrics)
+
+
+@pytest.mark.parametrize(
+    "n,topology", _CLIMB_CASES, ids=[f"{n}-{t.value}" for n, t in _CLIMB_CASES]
+)
+class TestClimbDifferential:
+    """The library's Pareto step and climb against the plain reference
+    above, which builds every candidate; plans, costs bit for bit,
+    formats and path lengths must agree."""
+
+    def test_step_and_climb_match_reference(self, n, topology):
+        for seed, m in _climb_models(n, topology):
+            rng = random.Random(seed)
+            start = random_plan(m, rng)
+            assert _step_view(pareto_step(m, start)) == _step_view(
+                _reference_step(m, start, {})
+            )
+            climbed = pareto_climb(m, start)
+            want_plan, want_length = _reference_climb(m, start)
+            assert climbed.path_length == want_length
+            assert _step_view([climbed.plan]) == _step_view([want_plan])
+            assert _step_view(pareto_step(m, climbed.plan)) == _step_view(
+                _reference_step(m, climbed.plan, {})
+            )
+
+    def test_candidate_costs_match_plan_cost(self, n, topology):
+        from moqo.costmodel import plan_cost
+
+        for seed, m in _climb_models(n, topology):
+            plan = random_plan(m, random.Random(seed))
+            for node in plan.nodes():
+                for cand in mutations(m, node):
+                    assert _float_bits(plan_cost(m, cand)) == _float_bits(cand.cost)
+                    if cand.is_join:
+                        for child in (cand.outer, cand.inner):
+                            assert _float_bits(plan_cost(m, child)) == _float_bits(
+                                child.cost
+                            )
+
+
+def _reference_mutate_at(model, plan, idx, rng):
+    # preorder node index: the root, then the outer subtree, then the inner
+    if idx == 0:
+        options = mutations(model, plan)[1:]
+        if not options:
+            return plan
+        return options[rng.randrange(len(options))]
+    idx -= 1
+    outer_size = 2 * len(plan.outer.rel) - 1
+    if idx < outer_size:
+        return model.join(
+            _reference_mutate_at(model, plan.outer, idx, rng), plan.inner, plan.join_op
+        )
+    return model.join(
+        plan.outer,
+        _reference_mutate_at(model, plan.inner, idx - outer_size, rng),
+        plan.join_op,
+    )
+
+
+class TestSaNeighborDifferential:
+    """SA's random neighbor equals ``mutations(...)[1:][draw]`` at the
+    drawn node, with the same draws from a cloned generator."""
+
+    def test_matches_mutations_draw(self):
+        from moqo.baselines import _random_neighbor
+
+        for n in (1, 2, 3, 8, 20):
+            for catalog in (default_catalog, materializing_catalog, single_op_catalog):
+                for seed in range(3):
+                    spec = GenSpec(n=n, seed=seed)
+                    m = CostModel(generate_query(spec), catalog())
+                    rng = random.Random(seed)
+                    plan = random_plan(m, rng)
+                    for _ in range(40):
+                        ref_rng = random.Random()
+                        ref_rng.setstate(rng.getstate())
+                        idx = ref_rng.randrange(2 * len(plan.rel) - 1)
+                        want = _reference_mutate_at(m, plan, idx, ref_rng)
+                        got = _random_neighbor(m, plan, rng)
+                        assert rng.getstate() == ref_rng.getstate()
+                        assert repr(got) == repr(want)
+                        assert _float_bits(got.cost) == _float_bits(want.cost)
+                        plan = got
