@@ -52,7 +52,6 @@ from .harness import (
 )
 from .optimizer import (
     Budget,
-    CacheLimitError,
     PlanCache,
     alpha_schedule,
     approximate_frontiers,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Archive",
     "Budget",
-    "CacheLimitError",
     "ClimbStatsConfig",
     "CostModel",
     "ExperimentConfig",

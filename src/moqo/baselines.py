@@ -30,11 +30,13 @@ from .optimizer import (
     Budget,
     ProgressSink,
     anytime,
+    build_move,
     mutations,
     offer_join_combinations,
     pareto_climb,
     prune_approx,
     random_plan,
+    root_moves,
 )
 
 MAX_EXHAUSTIVE_TABLES = 7
@@ -171,7 +173,12 @@ def _random_neighbor(model: CostModel, plan: Plan, rng: random.Random) -> Plan:
 
 
 def _mutate_at(model: CostModel, plan: Plan, idx: int, rng: random.Random) -> Plan:
+    # the draw picks from mutations(model, plan)[1:], but a join builds
+    # only the drawn move
     if idx == 0:
+        if plan.is_join:
+            moves = root_moves(model, plan.outer, plan.inner, plan.join_op)
+            return build_move(model, moves[rng.randrange(len(moves))])
         options = mutations(model, plan)[1:]
         if not options:
             return plan

@@ -134,7 +134,8 @@ def approx_dominates(c1: CostVector, c2: CostVector, alpha: float) -> bool:
     """
     if alpha < 1.0:
         raise ValueError(f"approximation factor must be >= 1, got {alpha}")
-    _check_lengths(c1, c2)
+    if len(c1) != len(c2):
+        _check_lengths(c1, c2)
     for a, b in zip(c1, c2):
         if a > alpha * b:
             return False

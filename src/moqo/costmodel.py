@@ -232,7 +232,7 @@ class CostModel:
         return len(self.metrics)
 
     def _project_floor(self, local3: tuple) -> CostVector:
-        return tuple(max(1.0, local3[k]) for k in self.metrics)
+        return tuple([local3[k] if local3[k] > 1.0 else 1.0 for k in self.metrics])
 
     def scan_local_cost(self, scan_op: int, card: float) -> CostVector:
         return self._project_floor(_scan_local3(self.catalog.scan_ops[scan_op], card))
@@ -309,23 +309,36 @@ class CostModel:
             self._leaves[key] = plan
         return plan
 
-    def join(self, outer: Plan, inner: Plan, join_op: int) -> Plan:
+    def join_cost(
+        self,
+        obits: int,
+        ocost: CostVector,
+        oc: float,
+        ibits: int,
+        icost: CostVector,
+        ic: float,
+        join_op: int,
+    ) -> tuple:
+        """Total cost vector and output cardinality of joining two inputs,
+        given by their table bits, total costs and output cardinalities,
+        without building the node.
+
+        Overlapping inputs raise ``ValueError``, as ``Plan`` does.
+        """
         # hand-inlined copy of _join_local3 (the other spelling of the
         # formula, used by plan_cost and the batched offer kernel) for
         # speed; both must evaluate in the same order, which
         # test_plan_cost_is_bit_exact, test_plan_cost_projected_metrics,
-        # test_costs_bit_exact_vs_scalar_join and
-        # TestBatchedKernelDifferential hold bit for bit
-        orel = outer.rel
-        irel = inner.rel
-        key = (orel.bits, irel.bits)
-        cs = self._cross_sel.get(key)
+        # test_costs_bit_exact_vs_scalar_join, TestBatchedKernelDifferential
+        # and TestClimbDifferential hold bit for bit. The floors spell
+        # max(1.0, x) as a conditional, which gives the same float
+        # (ties and nan included) at a tenth of the cost.
+        cs = self._cross_sel.get((obits, ibits))
         if cs is None:
-            cs = self.cross_selectivity(orel, irel)
-        oc = outer.out_card
-        ic = inner.out_card
+            # overlapping sets are never memoized, so they land here
+            cs = self.cross_selectivity(TableSet(obits), TableSet(ibits))
         out = oc * ic * cs
-        kind, fmt, loop_factor, buffer_pages = self._join_specs[join_op]
+        kind, _, loop_factor, buffer_pages = self._join_specs[join_op]
         if kind == "nested_loop":
             t, b, d = oc * ic * loop_factor + out, 2.0, 0.0
         elif kind == "hash":
@@ -333,26 +346,40 @@ class CostModel:
         else:
             t = oc * math.log2(1.0 + oc) + ic * math.log2(1.0 + ic) + out
             b, d = buffer_pages, oc + ic
-        ocost = outer.cost
-        icost = inner.cost
+        t = t if t > 1.0 else 1.0
+        b = b if b > 1.0 else 1.0
+        d = d if d > 1.0 else 1.0
         if self._all_three:
-            cost = (
-                (max(1.0, t) + ocost[0]) + icost[0],
-                (max(1.0, b) + ocost[1]) + icost[1],
-                (max(1.0, d) + ocost[2]) + icost[2],
-            )
-        else:
-            local3 = (t, b, d)
-            cost = tuple(
-                (max(1.0, local3[k]) + a) + b2
-                for k, a, b2 in zip(self.metrics, ocost, icost)
-            )
-        rbits = orel.bits | irel.bits
+            return (
+                (t + ocost[0]) + icost[0],
+                (b + ocost[1]) + icost[1],
+                (d + ocost[2]) + icost[2],
+            ), out
+        # a proper subset of the three metrics holds one or two of them
+        local3 = (t, b, d)
+        k = self.metrics
+        if len(k) == 2:
+            return (
+                (local3[k[0]] + ocost[0]) + icost[0],
+                (local3[k[1]] + ocost[1]) + icost[1],
+            ), out
+        return ((local3[k[0]] + ocost[0]) + icost[0],), out
+
+    def join(self, outer: Plan, inner: Plan, join_op: int) -> Plan:
+        """Build the join node of two plans: ``join_cost`` plus the node."""
+        obits = outer.rel.bits
+        ibits = inner.rel.bits
+        cost, out = self.join_cost(
+            obits, outer.cost, outer.out_card, ibits, inner.cost, inner.out_card, join_op
+        )
+        rbits = obits | ibits
         rel = self._rels.get(rbits)
         if rel is None:
             rel = TableSet(rbits)
             self._rels[rbits] = rel
-        return Plan(rel, cost, out, fmt, -1, -1, outer, inner, join_op)
+        return Plan(
+            rel, cost, out, self._join_specs[join_op][1], -1, -1, outer, inner, join_op
+        )
 
 
 def plan_cost(model: CostModel, plan: Plan) -> CostVector:

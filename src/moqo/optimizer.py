@@ -14,7 +14,7 @@ import logging
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .core import (
 from .costmodel import CostModel
 
 log = logging.getLogger(__name__)
-
-class CacheLimitError(RuntimeError):
-    """Raised when the plan cache exceeds its configured hard size cap."""
 
 
 def random_plan(model: CostModel, rng: random.Random) -> Plan:
@@ -96,16 +93,54 @@ def _random_shape(n: int, rng: random.Random) -> _ShapeNode:
     return root
 
 
+def root_moves(model: CostModel, outer: Plan, inner: Plan, join_op: int) -> list:
+    """Every non-identity transformation of the root of the join of
+    ``outer`` and ``inner`` under ``join_op``, as unbuilt moves.
+
+    The order is fixed: commutativity, right and left rotation, left and
+    right exchange, then every other operator for the root. Rotations
+    and exchanges keep the root operator at the root and reuse the
+    displaced child's operator for the newly formed child node. Results
+    that introduce cross products are legal.
+
+    A move is an ``(outer, inner, join_op)`` triple, ready for
+    ``build_move``; in a rotation or exchange one of its inputs is itself
+    such a triple over two existing plans, the new child node.
+    """
+    out = [(inner, outer, join_op)]
+    o_join = outer.outer is not None
+    i_join = inner.outer is not None
+    if o_join:
+        out.append((outer.outer, (outer.inner, inner, outer.join_op), join_op))
+    if i_join:
+        out.append(((outer, inner.outer, inner.join_op), inner.inner, join_op))
+    if o_join:
+        out.append(((outer.outer, inner, outer.join_op), outer.inner, join_op))
+    if i_join:
+        out.append((inner.outer, (outer, inner.inner, inner.join_op), join_op))
+    for op in range(len(model.catalog.join_ops)):
+        if op != join_op:
+            out.append((outer, inner, op))
+    return out
+
+
+def build_move(model: CostModel, move: tuple) -> Plan:
+    """The plan a ``root_moves`` move describes; a nested new child node
+    is built first."""
+    outer, inner, join_op = move
+    if outer.__class__ is tuple:
+        outer = model.join(*outer)
+    elif inner.__class__ is tuple:
+        inner = model.join(*inner)
+    return model.join(outer, inner, join_op)
+
+
 def mutations(model: CostModel, plan: Plan) -> list:
-    """All single transformations applicable at the plan's root.
+    """All single transformations applicable at the plan's root, built.
 
     The plan itself comes first, so that downstream pruning can retain an
-    unmutated but sub-tree-improved plan. Then follow commutativity,
-    right and left rotation, left and right exchange, and finally every
-    other operator for the root. Rotations and exchanges keep the root
-    operator at the root and reuse the displaced child's operator for the
-    newly formed child node. Results that introduce cross products are
-    legal.
+    unmutated but sub-tree-improved plan. A leaf is followed by its other
+    scan operators, a join by its ``root_moves`` in their order.
     """
     if not plan.is_join:
         out = [plan]
@@ -113,23 +148,8 @@ def mutations(model: CostModel, plan: Plan) -> list:
             if op != plan.scan_op:
                 out.append(model.leaf(plan.table, op))
         return out
-    join = model.join
-    o = plan.outer
-    i = plan.inner
-    root_op = plan.join_op
-    out = [plan, join(i, o, root_op)]
-    if o.is_join:
-        out.append(join(o.outer, join(o.inner, i, o.join_op), root_op))
-    if i.is_join:
-        out.append(join(join(o, i.outer, i.join_op), i.inner, root_op))
-    if o.is_join:
-        out.append(join(join(o.outer, i, o.join_op), o.inner, root_op))
-    if i.is_join:
-        out.append(join(i.outer, join(o, i.inner, i.join_op), root_op))
-    for op in range(len(model.catalog.join_ops)):
-        if op != root_op:
-            out.append(join(o, i, op))
-    return out
+    moves = root_moves(model, plan.outer, plan.inner, plan.join_op)
+    return [plan] + [build_move(model, move) for move in moves]
 
 
 def pareto_step(model: CostModel, plan: Plan) -> list:
@@ -152,39 +172,80 @@ def _pareto_step_memo(model: CostModel, plan: Plan, memo: dict) -> list:
     got = memo.get(plan)
     if got is not None:
         return got
-    if plan.is_join:
-        outer = plan.outer
-        inner = plan.inner
-        roots = (
-            plan if o is outer and i is inner else model.join(o, i, plan.join_op)
-            for o in _pareto_step_memo(model, outer, memo)
-            for i in _pareto_step_memo(model, inner, memo)
-        )
-    else:
-        roots = (plan,)
     # at most two output formats exist; two slots in first-appearance
-    # order avoid a dict in the innermost loop
+    # order avoid a dict in the innermost loop. Slots hold (fmt, cost,
+    # plan or move); only the winning moves get built
     first = None
     second = None
-    for root in roots:
-        for cand in mutations(model, root):
-            if first is None:
+    for cand in _priced_candidates(model, plan, memo):
+        fmt, cost, _ = cand
+        if first is None:
+            first = cand
+        elif fmt is first[0]:
+            if strictly_dominates(cost, first[1]):
                 first = cand
-            elif cand.fmt is first.fmt:
-                if strictly_dominates(cand.cost, first.cost):
-                    first = cand
-            elif second is None:
-                second = cand
-            elif strictly_dominates(cand.cost, second.cost):
-                second = cand
-    if first is None:
-        result = []
-    elif second is None:
-        result = [first]
-    else:
-        result = [first, second]
+        elif second is None:
+            second = cand
+        elif strictly_dominates(cost, second[1]):
+            second = cand
+    result = [
+        slot[2] if slot[2].__class__ is Plan else build_move(model, slot[2])
+        for slot in (first, second)
+        if slot is not None
+    ]
     memo[plan] = result
     return result
+
+
+def _priced_candidates(model: CostModel, plan: Plan, memo: dict) -> list:
+    """(fmt, cost, plan or move) for every candidate of one step at this
+    node, in ``mutations`` order: per reassembled root, its identity,
+    then its ``root_moves``. Only leaves and the unchanged root are
+    plans; everything else is priced without building a node."""
+    if not plan.is_join:
+        return [(cand.fmt, cand.cost, cand) for cand in mutations(model, plan)]
+    join_cost = model.join_cost
+    fmts = [op.fmt for op in model.catalog.join_ops]
+    outer = plan.outer
+    inner = plan.inner
+    root_op = plan.join_op
+    outs = _pareto_step_memo(model, outer, memo)
+    ins = _pareto_step_memo(model, inner, memo)
+    out = []
+    for o in outs:
+        for i in ins:
+            moves = root_moves(model, o, i, root_op)
+            if o is outer and i is inner:
+                out.append((fmts[root_op], plan.cost, plan))
+            else:
+                moves.insert(0, (o, i, root_op))
+            # each move is priced in the order build_move builds it, so
+            # its cost equals the built plan's bit for bit
+            for move in moves:
+                a, b, op = move
+                if a.__class__ is tuple:
+                    x, y, sub_op = a
+                    xbits = x.rel.bits
+                    ybits = y.rel.bits
+                    acost, acard = join_cost(
+                        xbits, x.cost, x.out_card, ybits, y.cost, y.out_card, sub_op
+                    )
+                    abits = xbits | ybits
+                else:
+                    abits, acost, acard = a.rel.bits, a.cost, a.out_card
+                if b.__class__ is tuple:
+                    x, y, sub_op = b
+                    xbits = x.rel.bits
+                    ybits = y.rel.bits
+                    bcost, bcard = join_cost(
+                        xbits, x.cost, x.out_card, ybits, y.cost, y.out_card, sub_op
+                    )
+                    bbits = xbits | ybits
+                else:
+                    bbits, bcost, bcard = b.rel.bits, b.cost, b.out_card
+                cost = join_cost(abits, acost, acard, bbits, bcost, bcard, op)[0]
+                out.append((fmts[op], cost, move))
+    return out
 
 
 class ClimbResult(NamedTuple):
@@ -244,15 +305,13 @@ class PlanCache:
     """Frontier lists keyed by table set, shared across iterations.
 
     Entries are never evicted; precision only enters through the alpha
-    used at insertion time. An optional hard cap on the total number of
-    cached plans aborts the run instead of degrading silently.
+    used at insertion time.
     """
 
-    __slots__ = ("_lists", "max_plans", "_count")
+    __slots__ = ("_lists", "_count")
 
-    def __init__(self, max_plans: int | None = None) -> None:
+    def __init__(self) -> None:
         self._lists: dict = {}
-        self.max_plans = max_plans
         self._count = 0
 
     def frontier(self, rel: TableSet) -> list:
@@ -262,37 +321,21 @@ class PlanCache:
             self._lists[rel] = lst
         return lst
 
-    def keys(self) -> Iterable[TableSet]:
-        return self._lists.keys()
-
-    @property
-    def total_plans(self) -> int:
-        return self._count
-
-    def _grew(self, delta: int) -> None:
-        self._count += delta
-        if self.max_plans is not None and self._count > self.max_plans:
-            raise CacheLimitError(
-                f"plan cache holds {self._count} plans, cap is {self.max_plans}"
-            )
-
     def offer(self, rel: TableSet, plan: Plan, alpha: float) -> None:
         lst = self.frontier(rel)
         before = len(lst)
         prune_approx(lst, plan, alpha)
-        self._grew(len(lst) - before)
+        self._count += len(lst) - before
 
     def offer_joins(self, model: CostModel, plan: Plan, alpha: float) -> None:
         """Offer every combination of the cached frontiers of a join
         plan's two input table sets to the frontier of its table set."""
-        self._grew(
-            offer_join_combinations(
-                model,
-                self.frontier(plan.rel),
-                self.frontier(plan.outer.rel),
-                self.frontier(plan.inner.rel),
-                alpha,
-            )
+        self._count += offer_join_combinations(
+            model,
+            self.frontier(plan.rel),
+            self.frontier(plan.outer.rel),
+            self.frontier(plan.inner.rel),
+            alpha,
         )
 
     def stats(self) -> dict:

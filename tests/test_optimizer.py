@@ -24,13 +24,14 @@ from moqo.costmodel import (
     Topology,
     default_catalog,
     materializing_catalog,
+    plan_cost,
 )
 from moqo.optimizer import (
     Budget,
-    CacheLimitError,
     PlanCache,
     alpha_schedule,
     approximate_frontiers,
+    build_move,
     mutations,
     offer_join_combinations,
     pareto_climb,
@@ -38,6 +39,7 @@ from moqo.optimizer import (
     prune_approx,
     random_plan,
     rmq_optimize,
+    root_moves,
 )
 from moqo.querygen import GenSpec, generate_query
 
@@ -510,15 +512,8 @@ class TestPlanCache:
         rel = TableSet.singleton(0)
         cache.offer(rel, make_plan((1.0, 4.0)), 1.0)
         cache.offer(rel, make_plan((4.0, 1.0), table=0), 1.0)
-        assert cache.total_plans == 2
+        assert cache.stats()["plans"] == 2
         assert cache.stats() == {"keys": 1, "plans": 2, "max_list": 2}
-
-    def test_cap_enforced(self):
-        cache = PlanCache(max_plans=1)
-        rel = TableSet.singleton(0)
-        cache.offer(rel, make_plan((1.0, 4.0)), 1.0)
-        with pytest.raises(CacheLimitError):
-            cache.offer(rel, make_plan((4.0, 1.0)), 1.0)
 
 
 class TestApproximateFrontiers:
@@ -578,13 +573,12 @@ class TestApproximateFrontiers:
         plan = pareto_climb(m, random_plan(m, rng)).plan
         cache = PlanCache()
         approximate_frontiers(m, plan, cache, 500)
-        snapshot = {
-            rel: [id(p) for p in cache.frontier(rel)] for rel in list(cache.keys())
-        }
+        # refinement touches exactly the frontiers of the plan's nodes
+        rels = {node.rel for node in plan.nodes()}
+        assert cache.stats()["keys"] == len(rels)
+        snapshot = {rel: [id(p) for p in cache.frontier(rel)] for rel in rels}
         approximate_frontiers(m, plan, cache, 500)
-        after = {
-            rel: [id(p) for p in cache.frontier(rel)] for rel in list(cache.keys())
-        }
+        after = {rel: [id(p) for p in cache.frontier(rel)] for rel in rels}
         assert snapshot == after
 
     def test_iteration_validated(self):
@@ -617,7 +611,12 @@ class TestRmqOptimize:
         for seed in (1, 2):
             cache = PlanCache()
             rmq_optimize(m, Budget(max_iterations=5), seed=seed, cache=cache)
-            keysets.append(frozenset(ts.bits for ts in cache.keys()))
+            # every frontier a run refines holds at least one plan
+            keysets.append(
+                frozenset(
+                    bits for bits in range(1, 1 << 8) if cache.frontier(TableSet(bits))
+                )
+            )
         assert keysets[0] != keysets[1]
 
     def test_seed_isolated_from_global_rng(self):
@@ -649,21 +648,14 @@ class TestRmqOptimize:
                 if i != j:
                     assert not weakly_dominates(a, b)
 
-    def test_cache_cap_propagates(self):
-        m = CostModel(query(6))
-        with pytest.raises(CacheLimitError):
-            rmq_optimize(
-                m, Budget(max_iterations=100), seed=1, cache=PlanCache(max_plans=3)
-            )
-
     def test_shared_cache_reused(self):
         m = CostModel(query(4))
         cache = PlanCache()
         rmq_optimize(m, Budget(max_iterations=50), seed=1, cache=cache)
-        plans_before = cache.total_plans
+        plans_before = cache.stats()["plans"]
         assert plans_before > 0
         rmq_optimize(m, Budget(max_iterations=50), seed=2, cache=cache)
-        assert cache.total_plans >= plans_before
+        assert cache.stats()["plans"] >= plans_before
 
     def test_converges_to_exact_frontier(self):
         from moqo.baselines import exhaustive_frontier
@@ -785,18 +777,54 @@ class TestClimbDifferential:
             )
 
     def test_candidate_costs_match_plan_cost(self, n, topology):
-        from moqo.costmodel import plan_cost
-
+        # every candidate priced through CostModel.join_cost, without a
+        # node, equals plan_cost of the built candidate bit for bit; so
+        # does the new child node of a rotation or exchange
         for seed, m in _climb_models(n, topology):
             plan = random_plan(m, random.Random(seed))
             for node in plan.nodes():
-                for cand in mutations(m, node):
-                    assert _float_bits(plan_cost(m, cand)) == _float_bits(cand.cost)
-                    if cand.is_join:
-                        for child in (cand.outer, cand.inner):
-                            assert _float_bits(plan_cost(m, child)) == _float_bits(
-                                child.cost
-                            )
+                if not node.is_join:
+                    continue
+                for move in root_moves(m, node.outer, node.inner, node.join_op):
+                    built = build_move(m, move)
+                    outer, inner, op = move
+                    cost, card = m.join_cost(
+                        *_priced_input(m, outer), *_priced_input(m, inner), op
+                    )
+                    assert _float_bits(cost) == _float_bits(plan_cost(m, built))
+                    assert _float_bits(cost) == _float_bits(built.cost)
+                    assert card.hex() == built.out_card.hex()
+                    for side, child in ((outer, built.outer), (inner, built.inner)):
+                        if isinstance(side, tuple):
+                            _, cost, card = _priced_input(m, side)
+                            assert _float_bits(cost) == _float_bits(plan_cost(m, child))
+                            assert card.hex() == child.out_card.hex()
+
+
+def _priced_input(model, side):
+    """(table bits, cost, output cardinality) of a move input: an existing
+    plan, or a new child node priced through ``join_cost``."""
+    if isinstance(side, tuple):
+        x, y, op = side
+        cost, card = model.join_cost(
+            x.rel.bits, x.cost, x.out_card, y.rel.bits, y.cost, y.out_card, op
+        )
+        return x.rel.bits | y.rel.bits, cost, card
+    return side.rel.bits, side.cost, side.out_card
+
+
+@pytest.mark.parametrize("metrics", [(0, 1, 2), (0, 2), (1,)])
+def test_cost_part_rejects_overlap(metrics):
+    m = CostModel(query(4), metrics=metrics)
+    ab = m.join(m.leaf(0, 0), m.leaf(1, 0), 0)
+    bc = m.join(m.leaf(1, 0), m.leaf(2, 0), 0)
+    for op in range(3):
+        with pytest.raises(ValueError, match="disjoint"):
+            m.join_cost(
+                ab.rel.bits, ab.cost, ab.out_card, bc.rel.bits, bc.cost, bc.out_card, op
+            )
+        with pytest.raises(ValueError):
+            m.join(ab, bc, op)
 
 
 def _reference_mutate_at(model, plan, idx, rng):
