@@ -1,5 +1,6 @@
 """Dominance relations, table sets, plan nodes and the archive."""
 
+import math
 import random
 
 import pytest
@@ -237,6 +238,20 @@ class TestPlan:
         assert len({a, b}) == 2
 
 
+def naive_insert(entries, plan):
+    """Archive insertion with one dominance call per comparison."""
+    for old in entries:
+        if old.fmt is plan.fmt and weakly_dominates(old.cost, plan.cost):
+            return False
+    entries[:] = [
+        old
+        for old in entries
+        if not (old.fmt is plan.fmt and weakly_dominates(plan.cost, old.cost))
+    ]
+    entries.append(plan)
+    return True
+
+
 class TestArchive:
     def test_insert_keeps_incomparable(self):
         arc = Archive()
@@ -301,3 +316,28 @@ class TestArchive:
                 for q in arc:
                     if p is not q and p.fmt is q.fmt:
                         assert not weakly_dominates(p.cost, q.cost)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_insert_matches_naive(self, width):
+        # few distinct values force exact ties; inf and nan pin the float
+        # semantics of the comparison
+        rng = random.Random(width)
+        pool = [1.0, 2.0, 3.0, 4.0] * 3 + [math.inf, math.nan]
+        for _ in range(100):
+            arc = Archive()
+            want = []
+            for i in range(40):
+                fmt = rng.choice([OutputFormat.PIPELINED, OutputFormat.MATERIALIZED])
+                cost = tuple(rng.choice(pool) for _ in range(width))
+                plan = make_leaf(i % MAX_TABLES, cost=cost, fmt=fmt)
+                assert arc.insert(plan) == naive_insert(want, plan)
+                assert [id(p) for p in arc] == [id(p) for p in want]
+
+    def test_length_mismatch_rejected(self):
+        for other in ((1.0,), (1.0, 2.0, 3.0)):
+            arc = Archive()
+            arc.insert(make_leaf(0, cost=(1.0, 2.0)))
+            with pytest.raises(ValueError):
+                arc.insert(make_leaf(1, cost=other))
+            # other formats are never compared
+            assert arc.insert(make_leaf(1, cost=other, fmt=OutputFormat.MATERIALIZED))

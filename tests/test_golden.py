@@ -1,17 +1,25 @@
-"""Pinned result digests of the five anytime runners.
+"""Pinned result digests of the five anytime runners and the two oracles.
 
 Every runner works under an iteration budget, so its final frontier is a
-pure function of the query, the seed and the code. The digests below pin
-those frontiers: a rewrite of a hot path that moves any result, even in
-the last bit of one cost, fails here.
+pure function of the query, the seed and the code; the oracles are
+deterministic. The digests below pin those frontiers: a rewrite of a hot
+path that moves any result, even in the last bit of one cost, fails here.
 """
 
 import functools
 import hashlib
+import math
 
 import pytest
 
-from moqo.baselines import run_2p, run_ii, run_nsga2, run_sa
+from moqo.baselines import (
+    dp_frontier,
+    exhaustive_frontier,
+    run_2p,
+    run_ii,
+    run_nsga2,
+    run_sa,
+)
 from moqo.costmodel import CostModel, Topology
 from moqo.optimizer import Budget, rmq_optimize
 from moqo.querygen import GenSpec, generate_query
@@ -65,3 +73,41 @@ def test_frontier_digest_pinned(runner, topology, seed):
     model = CostModel(generate_query(spec))
     archive = RUNNERS[runner](model, Budget(max_iterations=8), seed=seed)
     assert frontier_digest(archive.costs()) == GOLDEN[(runner, topology, seed)]
+
+
+# (oracle, alpha, topology, n) -> sha1 of the sorted frontier costs, on
+# seed 2, whose exact frontiers are wide (26-74 plans)
+ORACLE_GOLDEN = {
+    ("dp", 1.0, "chain", 6): "d2ac1b882a10951e58e0cd38f1fa1cf96dda120c",
+    ("dp", 1.01, "chain", 6): "4b735e0e05e05d2de2add2c372ff95d178909e6d",
+    ("dp", 2.0, "chain", 6): "0b9194b1d95c4ad9c5ddf4eb73c8aa4cd52e191e",
+    ("dp", math.inf, "chain", 6): "88ded1c4c657d25c3b49ead9846c49a461998849",
+    ("exhaustive", None, "chain", 6): "d2ac1b882a10951e58e0cd38f1fa1cf96dda120c",
+    ("dp", 1.0, "star", 6): "ba26f04e7fdc1bba7b580216ea5e19e30769b722",
+    ("dp", 1.01, "star", 6): "8ec957fde2abb7269453aa1de505a89608a2018d",
+    ("dp", 2.0, "star", 6): "9dfd32d6066001a2d04dc66b12d1f20453091da3",
+    ("dp", math.inf, "star", 6): "15cfbfa9ee32222de8d09d691a2a5241fbc08231",
+    ("exhaustive", None, "star", 6): "ba26f04e7fdc1bba7b580216ea5e19e30769b722",
+    ("dp", 1.0, "chain", 7): "0be1c434bc1c09372b789d2ea677b57eb7e931a6",
+    ("dp", 1.01, "chain", 7): "2c5881138f5dda961692cc545bb1962c58febd8f",
+    ("dp", 2.0, "chain", 7): "b4a51825be3c12f66b421d1d21fda82828bb09f4",
+    ("dp", math.inf, "chain", 7): "4e2ae3ee951fcbc4b7550f9752684ee044f7cb3a",
+    ("exhaustive", None, "chain", 7): "0be1c434bc1c09372b789d2ea677b57eb7e931a6",
+    ("dp", 1.0, "star", 7): "46e9160c8c27de99ca40d562943de197428c00e1",
+    ("dp", 1.01, "star", 7): "3604576a3850800f3946f7f60a97f89d14ce6d8c",
+    ("dp", 2.0, "star", 7): "32ee0b0f55ed729506d1a1561930d227393e3787",
+    ("dp", math.inf, "star", 7): "9ba43bfab0692c4eafdcf9622ab56866f5e6d9fb",
+    ("exhaustive", None, "star", 7): "46e9160c8c27de99ca40d562943de197428c00e1",
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_GOLDEN), ids=lambda v: str(v))
+def test_oracle_digest_pinned(case):
+    oracle, alpha, topology, n = case
+    spec = GenSpec(n=n, topology=Topology(topology), seed=2)
+    model = CostModel(generate_query(spec))
+    if oracle == "dp":
+        archive = dp_frontier(model, alpha)
+    else:
+        archive = exhaustive_frontier(model)
+    assert frontier_digest(archive.costs()) == ORACLE_GOLDEN[case]

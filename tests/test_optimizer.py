@@ -267,6 +267,32 @@ class TestPruneApprox:
                 naive_prune_approx(want, plan, alpha)
             assert [id(p) for p in got] == [id(p) for p in want]
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_conformance_non_finite(self, width):
+        # inf and nan must compare as approx_dominates compares them
+        rng = random.Random(width)
+        pool = [0.0, 1.0, 2.0, 3.0] * 3 + [math.inf, math.nan]
+        for _ in range(100):
+            alpha = rng.choice([1.0, 1.5, math.inf])
+            got, want = [], []
+            for _ in range(30):
+                plan = make_plan(
+                    tuple(rng.choice(pool) for _ in range(width)),
+                    fmt=rng.choice(
+                        [OutputFormat.PIPELINED, OutputFormat.MATERIALIZED]
+                    ),
+                )
+                prune_approx(got, plan, alpha)
+                naive_prune_approx(want, plan, alpha)
+                assert [id(p) for p in got] == [id(p) for p in want]
+
+    def test_length_mismatch_rejected(self):
+        for other in ((1.0,), (1.0, 2.0, 3.0)):
+            for alpha in (1.0, 2.0):
+                lst = [make_plan((1.0, 2.0))]
+                with pytest.raises(ValueError):
+                    prune_approx(lst, make_plan(other), alpha)
+
 
 def wide_catalog(n_scans, rng):
     scans = tuple(
@@ -379,6 +405,79 @@ class TestBatchedKernelDifferential:
         scalar = self._frontier(monkeypatch, m, alpha, 10**12)
         assert batched == scalar
         assert batched
+
+
+def _offer_view(plans):
+    return [(_float_bits(p.cost), p.fmt, repr(p)) for p in plans]
+
+
+def _climbed_join_inputs(model, seed):
+    """(start list, outer inputs, inner inputs) per join node of the first
+    few of a batch of climbed random plans. Each input list is a side's
+    child followed by its node set's cache lists at factor 1 and at factor
+    25, so it mixes frontier plans with dominated ones; the start list
+    holds the node, its commuted twin and the node set's coarse cache
+    list, offered naively at factor 25."""
+    rng = random.Random(seed)
+    fine = PlanCache()
+    coarse = PlanCache()
+    climbed = [pareto_climb(model, random_plan(model, rng)).plan for _ in range(12)]
+    for plan in climbed:
+        approximate_frontiers(model, plan, fine, 10**4)
+        approximate_frontiers(model, plan, coarse, 1)
+    for plan in climbed[:3]:
+        for node in plan.nodes():
+            if not node.is_join:
+                continue
+            start = []
+            twin = model.join(node.inner, node.outer, node.join_op)
+            for p in [node, twin] + coarse.frontier(node.rel):
+                naive_prune_approx(start, p, 25.0)
+            yield start, *(
+                [side] + fine.frontier(side.rel) + coarse.frontier(side.rel)
+                for side in (node.outer, node.inner)
+            )
+
+
+_OFFER_CASES = [
+    (topology, metrics, catalog)
+    for topology in (Topology.CHAIN, Topology.STAR)
+    for metrics in ((0,), (0, 2), (0, 1, 2))
+    for catalog in (default_catalog, materializing_catalog)
+]
+
+
+@pytest.mark.parametrize(
+    "topology,metrics,catalog",
+    _OFFER_CASES,
+    ids=[f"{t.value}-{len(m)}-{c.__name__}" for t, m, c in _OFFER_CASES],
+)
+class TestOfferAdmissionDifferential:
+    """Both paths of offer_join_combinations against naive_prune_approx
+    over built plans, on the children of climbed plans and non-empty
+    start lists: costs as float hex, formats, plan repr and list order
+    must agree, and so must the returned length change."""
+
+    ALPHAS = (1.0, 1.01, 1.5, 25.0, math.inf)
+
+    @pytest.mark.parametrize("threshold", [0, 10**12])
+    def test_matches_naive_offers(self, monkeypatch, topology, metrics, catalog, threshold):
+        monkeypatch.setattr(optimizer_mod, "_BATCH_THRESHOLD", threshold)
+        # seed 2 gives wide exact frontiers under all three metrics
+        spec = GenSpec(n=6, topology=topology, seed=2)
+        m = CostModel(generate_query(spec), catalog(), metrics)
+        n_ops = len(m.catalog.join_ops)
+        for alpha in self.ALPHAS:
+            for start, outs, ins in _climbed_join_inputs(m, 2):
+                got = list(start)
+                delta = offer_join_combinations(m, got, outs, ins, alpha)
+                want = list(start)
+                for o in outs:
+                    for i in ins:
+                        for op in range(n_ops):
+                            naive_prune_approx(want, m.join(o, i, op), alpha)
+                assert _offer_view(got) == _offer_view(want)
+                assert delta == len(got) - len(start)
 
 
 class TestAlphaSchedule:
