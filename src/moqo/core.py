@@ -8,6 +8,7 @@ mutually non-dominated plan sets per output format.
 from __future__ import annotations
 
 import enum
+from operator import gt
 from typing import Iterator, Sequence
 
 MAX_TABLES = 128
@@ -142,6 +143,65 @@ def approx_dominates(c1: CostVector, c2: CostVector, alpha: float) -> bool:
     return True
 
 
+def any_within(entries: list, fmt: OutputFormat, limit: Sequence) -> bool:
+    """True iff some entry of format ``fmt`` costs at most ``limit`` in
+    every metric, i.e. ``weakly_dominates(entry.cost, limit)``: one scan
+    of the list instead of one call per entry.
+
+    Pass the newcomer's cost for weak dominance, or ``alpha * c`` per
+    metric ``c`` for ``approx_dominates(entry.cost, cost, alpha)``, which
+    computes that same product. Raises ``ValueError`` on a same-format
+    entry of another length.
+    """
+    # every test is a > b, never a <= b, so a nan never blocks dominance,
+    # exactly as in weakly_dominates
+    n = len(limit)
+    if n == 3:
+        # all three metrics, the default: unrolled, and the unpacking
+        # raises ValueError on a length mismatch
+        l0, l1, l2 = limit
+        for old in entries:
+            if old.fmt is fmt:
+                a, b, c = old.cost
+                if not (a > l0 or b > l1 or c > l2):
+                    return True
+        return False
+    for old in entries:
+        if old.fmt is fmt:
+            cost = old.cost
+            if len(cost) != n:
+                _check_lengths(cost, limit)
+            if not any(map(gt, cost, limit)):
+                return True
+    return False
+
+
+def drop_dominated(entries: list, fmt: OutputFormat, cost: CostVector) -> None:
+    """Remove from the list, in place, every entry of format ``fmt`` that
+    ``cost`` weakly dominates; the rest keep their order. Raises
+    ``ValueError`` on a same-format entry of another length."""
+    n = len(cost)
+    doomed = []
+    if n == 3:
+        # unrolled as in any_within
+        c0, c1, c2 = cost
+        for old in entries:
+            if old.fmt is fmt:
+                a, b, c = old.cost
+                if not (c0 > a or c1 > b or c2 > c):
+                    doomed.append(old)
+    else:
+        for old in entries:
+            if old.fmt is fmt:
+                other = old.cost
+                if len(other) != n:
+                    _check_lengths(cost, other)
+                if not any(map(gt, cost, other)):
+                    doomed.append(old)
+    if doomed:
+        entries[:] = [old for old in entries if old not in doomed]
+
+
 class Plan:
     """Immutable binary plan tree node with cached derived values.
 
@@ -232,14 +292,9 @@ class Archive:
         """Offer a plan; returns True iff it was added."""
         cost = plan.cost
         fmt = plan.fmt
-        for old in self.entries:
-            if old.fmt is fmt and weakly_dominates(old.cost, cost):
-                return False
-        self.entries = [
-            old
-            for old in self.entries
-            if not (old.fmt is fmt and weakly_dominates(cost, old.cost))
-        ]
+        if any_within(self.entries, fmt, cost):
+            return False
+        drop_dominated(self.entries, fmt, cost)
         self.entries.append(plan)
         return True
 

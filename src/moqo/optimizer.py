@@ -22,9 +22,9 @@ from .core import (
     Archive,
     Plan,
     TableSet,
-    approx_dominates,
+    any_within,
+    drop_dominated,
     strictly_dominates,
-    weakly_dominates,
 )
 from .costmodel import CostModel
 
@@ -289,15 +289,9 @@ def prune_approx(plans: list, new_plan: Plan, alpha: float) -> list:
         raise ValueError(f"approximation factor must be >= 1, got {alpha}")
     fmt = new_plan.fmt
     cost = new_plan.cost
-    for old in plans:
-        if old.fmt is fmt and approx_dominates(old.cost, cost, alpha):
-            return plans
-    plans[:] = [
-        old
-        for old in plans
-        if not (old.fmt is fmt and approx_dominates(cost, old.cost, 1.0))
-    ]
-    plans.append(new_plan)
+    if not any_within(plans, fmt, [alpha * c for c in cost]):
+        drop_dominated(plans, fmt, cost)
+        plans.append(new_plan)
     return plans
 
 
@@ -363,20 +357,34 @@ def offer_join_combinations(
     list, in that nesting order. Returns the net length change.
 
     Semantically identical to calling prune_approx once per combination.
-    Large blocks take a vectorized path that batches the rejection test
-    against the pre-block list state; that is safe because removals only
-    happen through weakly dominating newcomers, so any stale rejector is
-    covered by a live one.
+    Each combination is priced with ``CostModel.join_cost`` and built only
+    once admitted. Large blocks take a vectorized path that batches the
+    rejection test against the pre-block list state; that is safe because
+    removals only happen through weakly dominating newcomers, so any stale
+    rejector is covered by a live one.
     """
+    if alpha < 1.0:
+        raise ValueError(f"approximation factor must be >= 1, got {alpha}")
     if not outs or not ins:
         return 0
     n_ops = len(model.catalog.join_ops)
     before = len(plans)
     if len(outs) * len(ins) * n_ops * max(1, len(plans)) < _BATCH_THRESHOLD:
+        join_cost = model.join_cost
+        fmts = [op.fmt for op in model.catalog.join_ops]
         for o in outs:
+            obits, ocost, oc = o.rel.bits, o.cost, o.out_card
             for i in ins:
+                ibits, icost, ic = i.rel.bits, i.cost, i.out_card
                 for op in range(n_ops):
-                    prune_approx(plans, model.join(o, i, op), alpha)
+                    cost = join_cost(obits, ocost, oc, ibits, icost, ic, op)[0]
+                    fmt = fmts[op]
+                    if any_within(plans, fmt, [alpha * c for c in cost]):
+                        continue
+                    # join prices through join_cost, so the plan's cost
+                    # is this cost bit for bit
+                    drop_dominated(plans, fmt, cost)
+                    plans.append(model.join(o, i, op))
         return len(plans) - before
 
     # candidate cost rows in (outer, inner, operator) order, each summed
@@ -426,21 +434,10 @@ def offer_join_combinations(
         op_idx = flat_idx % n_ops
         pair = flat_idx // n_ops
         fmt = join_ops[op_idx].fmt
-        row = rows[flat_idx]
-        covered = False
-        for prev in accepted:
-            if prev.fmt is fmt and approx_dominates(prev.cost, row, alpha):
-                covered = True
-                break
-        if covered:
+        if any_within(accepted, fmt, [alpha * c for c in rows[flat_idx]]):
             continue
         plan = model.join(outs[pair // kb], ins[pair % kb], op_idx)
-        cost = plan.cost
-        plans[:] = [
-            old
-            for old in plans
-            if not (old.fmt is fmt and weakly_dominates(cost, old.cost))
-        ]
+        drop_dominated(plans, fmt, plan.cost)
         plans.append(plan)
         accepted.append(plan)
     return len(plans) - before

@@ -366,6 +366,13 @@ class TestOfferJoinCombinations:
         assert offer_join_combinations(m, [], [], ins, 1.0) == 0
         assert offer_join_combinations(m, [], outs, [], 1.0) == 0
 
+    @pytest.mark.parametrize("threshold", [0, 10**12])
+    def test_alpha_below_one_rejected(self, monkeypatch, threshold):
+        monkeypatch.setattr(optimizer_mod, "_BATCH_THRESHOLD", threshold)
+        m, outs, ins = self._inputs(3, 7)
+        with pytest.raises(ValueError):
+            offer_join_combinations(m, [], outs, ins, 0.5)
+
 
 _DIFF_CASES = [
     (n, topology)
