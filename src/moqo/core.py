@@ -67,12 +67,6 @@ class TableSet:
             raise ValueError(f"table count {n} outside [0, {MAX_TABLES}]")
         return cls((1 << n) - 1)
 
-    def __or__(self, other: TableSet) -> TableSet:
-        return TableSet(self.bits | other.bits)
-
-    def __and__(self, other: TableSet) -> TableSet:
-        return TableSet(self.bits & other.bits)
-
     def __len__(self) -> int:
         return self.bits.bit_count()
 
@@ -88,12 +82,6 @@ class TableSet:
             low = bits & -bits
             yield low.bit_length() - 1
             bits ^= low
-
-    def isdisjoint(self, other: TableSet) -> bool:
-        return self.bits & other.bits == 0
-
-    def issubset(self, other: TableSet) -> bool:
-        return self.bits & ~other.bits == 0
 
     def __repr__(self) -> str:
         return f"TableSet({{{','.join(map(str, self))}}})"

@@ -65,11 +65,6 @@ class QueryInstance:
                 f"edge set does not match {self.topology.value} over {self.n} tables"
             )
 
-    @property
-    def m(self) -> float:
-        """Largest table cardinality."""
-        return max(self.cards)
-
 
 def _topology_pairs(topology: Topology, n: int) -> set:
     if topology is Topology.CHAIN:
@@ -134,11 +129,6 @@ class OperatorCatalog:
     def __post_init__(self) -> None:
         if not self.scan_ops or not self.join_ops:
             raise ValueError("catalog needs at least one scan and one join operator")
-
-    @property
-    def r(self) -> int:
-        """Largest operator-implementation count."""
-        return max(len(self.scan_ops), len(self.join_ops))
 
 
 def default_catalog() -> OperatorCatalog:
@@ -285,13 +275,6 @@ class CostModel:
         self._cross_sel[(rbits, lbits)] = sel
         return sel
 
-    def join_out_card(self, outer: Plan, inner: Plan) -> float:
-        return (
-            outer.out_card
-            * inner.out_card
-            * self.cross_selectivity(outer.rel, inner.rel)
-        )
-
     def leaf(self, table: int, scan_op: int) -> Plan:
         key = (table, scan_op)
         plan = self._leaves.get(key)
@@ -392,7 +375,11 @@ def plan_cost(model: CostModel, plan: Plan) -> CostVector:
         return model.scan_local_cost(plan.scan_op, float(model.query.cards[plan.table]))
     outer_cost = plan_cost(model, plan.outer)
     inner_cost = plan_cost(model, plan.inner)
-    out = model.join_out_card(plan.outer, plan.inner)
+    out = (
+        plan.outer.out_card
+        * plan.inner.out_card
+        * model.cross_selectivity(plan.outer.rel, plan.inner.rel)
+    )
     local = model.join_local_cost(
         plan.join_op, plan.outer.out_card, plan.inner.out_card, out
     )

@@ -47,19 +47,6 @@ class TestTableSet:
         assert TableSet.range_of(0).bits == 0
         assert not TableSet.range_of(0)
 
-    def test_union_intersection(self):
-        a = TableSet.of([0, 1])
-        b = TableSet.of([1, 2])
-        assert list(a | b) == [0, 1, 2]
-        assert list(a & b) == [1]
-
-    def test_disjoint_subset(self):
-        a = TableSet.of([0, 1])
-        assert a.isdisjoint(TableSet.of([2, 3]))
-        assert not a.isdisjoint(TableSet.of([1]))
-        assert TableSet.of([1]).issubset(a)
-        assert not a.issubset(TableSet.of([1]))
-
     def test_equality_and_hash(self):
         assert TableSet.of([0, 3]) == TableSet.of([3, 0])
         assert hash(TableSet.of([0, 3])) == hash(TableSet.of([0, 3]))
