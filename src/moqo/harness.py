@@ -397,6 +397,16 @@ class ClimbStatsConfig:
     rmq_iterations: int = 0
     catalog: OperatorCatalog | None = None
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.metrics_count <= N_METRICS:
+            raise ValueError(f"metric count {self.metrics_count} outside [1, 3]")
+        if not self.seeds:
+            raise ValueError("need at least one seed")
+        if not self.table_counts:
+            raise ValueError("need at least one table count")
+        if self.rmq_iterations < 0:
+            raise ValueError("rmq_iterations must be >= 0")
+
 
 def climb_stats(cfg: ClimbStatsConfig) -> list:
     """Median climb path length, plus median final Pareto-set size when

@@ -129,6 +129,22 @@ class TestStats:
         code, _, _ = run_cli(capsys, "stats", "--tables", "3;4")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--rmq-iters", "-2"),
+            ("--metrics", "4"),
+            ("--metrics", "0"),
+            ("--tables", ","),
+        ],
+        ids=["negative-iters", "metrics-4", "metrics-0", "no-tables"],
+    )
+    def test_invalid_config_rejected(self, capsys, flags):
+        code, out, err = run_cli(capsys, "stats", "--seeds", "0", *flags)
+        assert code == 1
+        assert "config error" in err
+        assert out == ""
+
 
 class TestRun:
     def test_stdout_csv_when_no_out(self, capsys):

@@ -360,6 +360,21 @@ class TestClimbStats:
         rows_b = climb_stats(cfg)
         assert rows_a == rows_b
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"metrics_count": 0},
+            {"metrics_count": 4},
+            {"seeds": ()},
+            {"table_counts": ()},
+            {"rmq_iterations": -2},
+        ],
+        ids=["metrics-0", "metrics-4", "no-seeds", "no-tables", "negative-iters"],
+    )
+    def test_config_validated(self, bad):
+        with pytest.raises(ValueError):
+            ClimbStatsConfig(**bad)
+
 
 class TestParseCatalogSpec:
     def test_round_trip_default_like(self):
