@@ -101,7 +101,9 @@ ORACLE_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", list(ORACLE_GOLDEN), ids=lambda v: str(v))
+@pytest.mark.parametrize(
+    "case", list(ORACLE_GOLDEN), ids=lambda case: "-".join(map(str, case))
+)
 def test_oracle_digest_pinned(case):
     oracle, alpha, topology, n = case
     spec = GenSpec(n=n, topology=Topology(topology), seed=2)
