@@ -1,5 +1,6 @@
 """Randomized optimizer: plan sampling, climbing, pruning, caching."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -381,37 +382,62 @@ _DIFF_CASES = [
 ]
 
 
-class TestBatchedKernelDifferential:
-    """dp_frontier with every block batched equals the all-scalar run.
+def naive_dp_frontier(model, alpha):
+    """dp_frontier spelled plainly: the same subset enumeration and
+    per-level factor, with every join built and offered through
+    naive_prune_approx, and the root list pruned at factor 1."""
+    n = model.query.n
+    per_level = alpha ** (1.0 / max(1, n - 1)) if math.isfinite(alpha) else math.inf
+    fronts = {}
+    for t in range(n):
+        lst = []
+        for op in range(len(model.catalog.scan_ops)):
+            naive_prune_approx(lst, model.leaf(t, op), per_level)
+        fronts[1 << t] = lst
+    for size in range(2, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            bits = sum(1 << t for t in combo)
+            target = []
+            sub = (bits - 1) & bits
+            while sub:
+                for o in fronts[sub]:
+                    for i in fronts[bits ^ sub]:
+                        for op in range(len(model.catalog.join_ops)):
+                            naive_prune_approx(target, model.join(o, i, op), per_level)
+                sub = (sub - 1) & bits
+            fronts[bits] = target
+    root = []
+    for plan in fronts[(1 << n) - 1]:
+        naive_prune_approx(root, plan, 1.0)
+    return root
 
-    The factor, the metric subset and the catalog rotate with the case
-    index, so every value of each appears across the cases.
+
+class TestDpFrontierDifferential:
+    """dp_frontier against naive_dp_frontier at every factor: costs as
+    float hex, formats, plan repr and order must agree.
+
+    The metric subset and the catalog rotate with the case index, so
+    every topology meets every metric subset and both catalogs appear at
+    every size.
     """
 
-    ALPHAS = (1.0, 1.5, 25.0, math.inf)
+    ALPHAS = (1.0, 1.01, 1.5, 25.0, math.inf)
     METRICS = ((0,), (0, 2), (0, 1, 2))
     CATALOGS = (default_catalog, materializing_catalog)
 
-    @staticmethod
-    def _frontier(monkeypatch, model, alpha, threshold):
+    @pytest.mark.parametrize("idx", range(len(_DIFF_CASES)))
+    def test_matches_naive_dp(self, idx):
         from moqo.baselines import dp_frontier
 
-        monkeypatch.setattr(optimizer_mod, "_BATCH_THRESHOLD", threshold)
-        archive = dp_frontier(model, alpha)
-        return [(p.cost, p.fmt, repr(p)) for p in archive]
-
-    @pytest.mark.parametrize("idx", range(len(_DIFF_CASES)))
-    def test_batched_equals_scalar(self, monkeypatch, idx):
         n, topology = _DIFF_CASES[idx]
-        alpha = self.ALPHAS[idx % 4]
-        metrics = self.METRICS[idx % 3]
-        catalog = self.CATALOGS[(idx // 4) % 2]()
+        metrics = self.METRICS[(idx + idx // 3) % 3]
+        catalog = self.CATALOGS[idx % 2]()
         spec = GenSpec(n=n, topology=topology, seed=100 + idx)
         m = CostModel(generate_query(spec), catalog, metrics)
-        batched = self._frontier(monkeypatch, m, alpha, 0)
-        scalar = self._frontier(monkeypatch, m, alpha, 10**12)
-        assert batched == scalar
-        assert batched
+        for alpha in self.ALPHAS:
+            got = _offer_view(dp_frontier(m, alpha))
+            assert got == _offer_view(naive_dp_frontier(m, alpha))
+            assert got
 
 
 def _offer_view(plans):
