@@ -94,7 +94,7 @@ def dp_frontier(
 
     Returns None if the optional deadline expires before completion.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ValueError(f"approximation factor must be >= 1, got {alpha}")
     n = model.query.n
     per_level = (

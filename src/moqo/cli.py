@@ -294,7 +294,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         )
         metrics = tuple(range(args.metrics)) if args.metrics is not None else (0, 1, 2)
         model = CostModel(generate_query(spec), None, metrics)
-        if args.alpha is not None and args.alpha < 1.0:
+        if args.alpha is not None and not args.alpha >= 1.0:
             raise ValueError("alpha must be >= 1")
         if args.alpha is None and args.tables > 7:
             raise ValueError(

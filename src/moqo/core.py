@@ -119,9 +119,10 @@ def approx_dominates(c1: CostVector, c2: CostVector, alpha: float) -> bool:
     """True iff c1[k] <= alpha * c2[k] for every metric k.
 
     alpha = 1 reduces to weak dominance; larger alpha relaxes the
-    comparison. Values below 1 are rejected.
+    comparison. Values below 1 and nan are rejected.
     """
-    if alpha < 1.0:
+    # not (alpha >= 1) rather than alpha < 1, so that nan fails too
+    if not alpha >= 1.0:
         raise ValueError(f"approximation factor must be >= 1, got {alpha}")
     if len(c1) != len(c2):
         _check_lengths(c1, c2)

@@ -105,6 +105,9 @@ class ScanOp:
     disc: float = 0.0
     fmt: OutputFormat = OutputFormat.PIPELINED
 
+    def __post_init__(self) -> None:
+        _check_coefficients(self, ("time_per_row", "buffer", "disc"))
+
 
 @dataclass(frozen=True)
 class JoinOp:
@@ -119,6 +122,16 @@ class JoinOp:
     def __post_init__(self) -> None:
         if self.kind not in ("nested_loop", "hash", "sort_merge"):
             raise ValueError(f"unknown join kind {self.kind!r}")
+        _check_coefficients(self, ("loop_factor", "buffer_pages"))
+
+
+def _check_coefficients(op, names: tuple) -> None:
+    for name in names:
+        value = getattr(op, name)
+        if not 0.0 <= value < math.inf:
+            raise ValueError(
+                f"{name} of operator {op.name!r} must be finite and >= 0, got {value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -309,10 +322,9 @@ class CostModel:
         Overlapping inputs raise ``ValueError``, as ``Plan`` does.
         """
         # hand-inlined copy of _join_local3 (the other spelling of the
-        # formula, used by plan_cost and the batched offer kernel) for
-        # speed; both must evaluate in the same order, which
-        # test_plan_cost_is_bit_exact, test_plan_cost_projected_metrics,
-        # test_costs_bit_exact_vs_scalar_join, TestBatchedKernelDifferential
+        # formula, used by plan_cost) for speed; both must evaluate in the
+        # same order, which test_plan_cost_is_bit_exact,
+        # test_plan_cost_projected_metrics, test_costs_bit_exact_vs_scalar_join
         # and TestClimbDifferential hold bit for bit. The floors spell
         # max(1.0, x) as a conditional, which gives the same float
         # (ties and nan included) at a tenth of the cost.

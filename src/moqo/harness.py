@@ -103,12 +103,12 @@ class ExperimentConfig:
             raise ValueError(f"metric count {self.metrics_count} outside [1, 3]")
         if (self.budget_ms is None) == (self.budget_iters is None):
             raise ValueError("set exactly one of budget_ms and budget_iters")
-        if self.budget_ms is not None and self.budget_ms < 0:
-            raise ValueError("budget_ms must be >= 0")
+        if self.budget_ms is not None and not 0 <= self.budget_ms < math.inf:
+            raise ValueError("budget_ms must be finite and >= 0")
         if self.budget_iters is not None and self.budget_iters < 0:
             raise ValueError("budget_iters must be >= 0")
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be > 0")
+        if not 0 < self.sample_interval < math.inf:
+            raise ValueError("sample_interval must be finite and > 0")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if not self.algorithms:
@@ -145,9 +145,18 @@ class ExperimentConfig:
 
 
 def _catalog_repr(catalog: OperatorCatalog) -> str:
+    """The catalog in ``parse_catalog_spec``'s token syntax."""
     scans = ",".join(f"{op.name}:{op.time_per_row}" for op in catalog.scan_ops)
-    joins = ",".join(op.name for op in catalog.join_ops)
+    joins = ",".join(_join_token(op) for op in catalog.join_ops)
     return f"scans[{scans}] joins[{joins}]"
+
+
+def _join_token(op: JoinOp) -> str:
+    if op.kind == "nested_loop":
+        return f"nested_loop:{op.loop_factor}"
+    if op.kind == "sort_merge":
+        return f"sort_merge:{op.buffer_pages}"
+    return op.kind
 
 
 @dataclass(frozen=True)
@@ -167,7 +176,7 @@ def _parse_algorithm(token: str):
             alpha = float(token[3:])
         except ValueError as exc:
             raise ValueError(f"bad DP factor in algorithm id {token!r}") from exc
-        if alpha < 1.0:
+        if not alpha >= 1.0:
             raise ValueError(f"DP factor must be >= 1 in {token!r}")
         return "dp", alpha
     raise ValueError(

@@ -11,12 +11,11 @@ keep the cache tiny while later ones refine it toward exact frontiers.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .core import (
     Archive,
@@ -285,7 +284,7 @@ def prune_approx(plans: list, new_plan: Plan, alpha: float) -> list:
     same-format plan alpha-approximately dominates it; otherwise drop
     every same-format plan the newcomer weakly dominates and append it.
     Mutates and returns the list."""
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ValueError(f"approximation factor must be >= 1, got {alpha}")
     fmt = new_plan.fmt
     cost = new_plan.cost
@@ -341,11 +340,6 @@ class PlanCache:
         }
 
 
-# Below this many candidate comparisons a plain Python offer loop beats
-# the vectorized path's setup overhead.
-_BATCH_THRESHOLD = 4096
-
-
 def offer_join_combinations(
     model: CostModel,
     plans: list,
@@ -358,88 +352,25 @@ def offer_join_combinations(
 
     Semantically identical to calling prune_approx once per combination.
     Each combination is priced with ``CostModel.join_cost`` and built only
-    once admitted. Large blocks take a vectorized path that batches the
-    rejection test against the pre-block list state; that is safe because
-    removals only happen through weakly dominating newcomers, so any stale
-    rejector is covered by a live one.
+    once admitted.
     """
-    if alpha < 1.0:
+    if not alpha >= 1.0:
         raise ValueError(f"approximation factor must be >= 1, got {alpha}")
-    if not outs or not ins:
-        return 0
-    n_ops = len(model.catalog.join_ops)
     before = len(plans)
-    if len(outs) * len(ins) * n_ops * max(1, len(plans)) < _BATCH_THRESHOLD:
-        join_cost = model.join_cost
-        fmts = [op.fmt for op in model.catalog.join_ops]
-        for o in outs:
-            obits, ocost, oc = o.rel.bits, o.cost, o.out_card
-            for i in ins:
-                ibits, icost, ic = i.rel.bits, i.cost, i.out_card
-                for op in range(n_ops):
-                    cost = join_cost(obits, ocost, oc, ibits, icost, ic, op)[0]
-                    fmt = fmts[op]
-                    if any_within(plans, fmt, [alpha * c for c in cost]):
-                        continue
-                    # join prices through join_cost, so the plan's cost
-                    # is this cost bit for bit
-                    drop_dominated(plans, fmt, cost)
-                    plans.append(model.join(o, i, op))
-        return len(plans) - before
-
-    # candidate cost rows in (outer, inner, operator) order, each summed
-    # exactly as CostModel.join sums it, so accepted plans carry the
-    # same costs as their rows
-    join_ops = model.catalog.join_ops
-    join_local_cost = model.join_local_cost
-    cs = model.cross_selectivity(outs[0].rel, ins[0].rel)
-    rows = []
+    join_cost = model.join_cost
+    fmts = [op.fmt for op in model.catalog.join_ops]
     for o in outs:
-        oc = o.out_card
-        ocost = o.cost
+        obits, ocost, oc = o.rel.bits, o.cost, o.out_card
         for i in ins:
-            ic = i.out_card
-            icost = i.cost
-            out = oc * ic * cs
-            for op in range(n_ops):
-                local = join_local_cost(op, oc, ic, out)
-                rows.append(
-                    tuple((l + a) + b for l, a, b in zip(local, ocost, icost))
-                )
-    flat = np.array(rows)
-    n_metrics = model.n_metrics
-    kb = len(ins)
-    reject = np.zeros(len(flat), dtype=bool)
-    snapshot: dict = {}
-    for old in plans:
-        snapshot.setdefault(old.fmt, []).append(old.cost)
-    for op_idx, op in enumerate(join_ops):
-        old_costs = snapshot.get(op.fmt)
-        if not old_costs:
-            continue
-        old_arr = np.array(old_costs)
-        cand = flat[op_idx::n_ops]
-        limit = alpha * cand
-        chunk = max(1, 4_000_000 // (len(old_arr) * n_metrics))
-        rej = np.empty(len(cand), dtype=bool)
-        for lo in range(0, len(cand), chunk):
-            hi = min(lo + chunk, len(cand))
-            rej[lo:hi] = (
-                (old_arr[None, :, :] <= limit[lo:hi, None, :]).all(-1).any(-1)
-            )
-        reject[op_idx::n_ops] = rej
-
-    accepted: list = []
-    for flat_idx in np.flatnonzero(~reject):
-        op_idx = flat_idx % n_ops
-        pair = flat_idx // n_ops
-        fmt = join_ops[op_idx].fmt
-        if any_within(accepted, fmt, [alpha * c for c in rows[flat_idx]]):
-            continue
-        plan = model.join(outs[pair // kb], ins[pair % kb], op_idx)
-        drop_dominated(plans, fmt, plan.cost)
-        plans.append(plan)
-        accepted.append(plan)
+            ibits, icost, ic = i.rel.bits, i.cost, i.out_card
+            for op, fmt in enumerate(fmts):
+                cost = join_cost(obits, ocost, oc, ibits, icost, ic, op)[0]
+                if any_within(plans, fmt, [alpha * c for c in cost]):
+                    continue
+                # join prices through join_cost, so the plan's cost is
+                # this cost bit for bit
+                drop_dominated(plans, fmt, cost)
+                plans.append(model.join(o, i, op))
     return len(plans) - before
 
 
@@ -481,11 +412,12 @@ class Budget:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iterations is None and self.deadline_s is None:
-            raise ValueError("budget needs an iteration cap or a deadline")
-        if self.max_iterations is not None and self.max_iterations < 0:
+        if self.max_iterations is None and self.deadline_s in (None, math.inf):
+            raise ValueError("budget needs an iteration cap or a finite deadline")
+        # written as not-(x >= 0) so that nan fails too
+        if self.max_iterations is not None and not self.max_iterations >= 0:
             raise ValueError("iteration cap must be >= 0")
-        if self.deadline_s is not None and self.deadline_s < 0:
+        if self.deadline_s is not None and not self.deadline_s >= 0:
             raise ValueError("deadline must be >= 0")
 
     def exhausted(self, iterations_done: int, elapsed_s: float) -> bool:

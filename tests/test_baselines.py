@@ -174,6 +174,10 @@ class TestDpFrontier:
         with pytest.raises(ValueError):
             dp_frontier(model_for(3, 0), 0.9)
 
+    def test_alpha_nan_rejected(self):
+        with pytest.raises(ValueError):
+            dp_frontier(model_for(3, 0), math.nan)
+
     def test_deadline_abort_returns_none(self):
         m = model_for(12, 0)
         assert dp_frontier(m, 1.0, deadline_s=0.02) is None

@@ -42,6 +42,22 @@ class TestParsing:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--algos", "dp:nan", "--budget-iters", "5"),
+            ("--budget-ms", "nan"),
+            ("--budget-ms", "inf"),
+            ("--budget-iters", "5", "--sample-ms", "nan"),
+        ],
+        ids=["dp-nan", "budget-nan", "budget-inf", "sample-nan"],
+    )
+    def test_non_finite_values_rejected(self, capsys, flags):
+        code, out, err = run_cli(capsys, "run", "--tables", "4", "--seeds", "0", *flags)
+        assert code == 1
+        assert "config error" in err
+        assert out == ""
+
     def test_both_budgets_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -98,6 +114,14 @@ class TestOracle:
             capsys, "oracle", "--tables", "3", "--alpha", "0.5"
         )
         assert code == 1
+
+    def test_alpha_nan(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle", "--tables", "3", "--alpha", "nan"
+        )
+        assert code == 1
+        assert "config error" in err
+        assert out == ""
 
 
 class TestStats:
@@ -286,6 +310,19 @@ class TestConfigFile:
         )
         code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 0
+
+    def test_catalog_coefficient_validated(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\ntables = 3\nalgos = ii\nbudget_iters = 10\n"
+            "sample_ms = 5\nseeds = 0\n"
+            "[catalog]\nscan_ops = s:1.0\njoin_ops = sort_merge:-5\n"
+        )
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 1
+        assert "config error" in err
+        assert "buffer_pages" in err
+        assert out == ""
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "--config", "/nonexistent.ini")

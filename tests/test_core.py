@@ -130,6 +130,11 @@ class TestDominance:
         with pytest.raises(ValueError):
             approx_dominates((1.0,), (1.0,), 0.99)
 
+    def test_alpha_nan_rejected(self):
+        with pytest.raises(ValueError):
+            approx_dominates((1.0,), (1.0,), math.nan)
+        assert approx_dominates((5.0,), (1.0,), math.inf)
+
     def test_weak_dominance_frequency_matches_half_power(self):
         # independent uniform components: P(all l components <=) = 2^-l
         for l in (1, 2, 3):

@@ -133,6 +133,21 @@ class TestOperators:
         with pytest.raises(ValueError):
             JoinOp("weird", kind="weird")
 
+    @pytest.mark.parametrize("field", ["time_per_row", "buffer", "disc"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_scan_coefficients_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScanOp("s", **{field: value})
+        ScanOp("s", **{field: 0.0})
+
+    @pytest.mark.parametrize("field", ["loop_factor", "buffer_pages"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_join_coefficients_validated(self, field, value):
+        for kind in ("nested_loop", "hash", "sort_merge"):
+            with pytest.raises(ValueError, match=field):
+                JoinOp("j", kind=kind, **{field: value})
+            JoinOp("j", kind=kind, **{field: 0.0})
+
     def test_catalog_needs_operators(self):
         with pytest.raises(ValueError):
             OperatorCatalog(scan_ops=(), join_ops=default_catalog().join_ops)

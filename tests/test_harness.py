@@ -1,6 +1,7 @@
 """Quality indicator, reference frontiers, experiment runner, statistics."""
 
 import math
+import re
 
 import pytest
 
@@ -151,7 +152,19 @@ class TestExperimentConfig:
             ExperimentConfig(n=5, algorithms=("dp:0.5",))
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, algorithms=("dp:x",))
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=5, algorithms=("dp:nan",))
         ExperimentConfig(n=5, algorithms=("dp:1.5", "dp:inf"))
+
+    @pytest.mark.parametrize("budget_ms", [math.nan, math.inf, -1.0])
+    def test_time_budget_finite(self, budget_ms):
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=5, budget_ms=budget_ms)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, 0.0, -5.0])
+    def test_sample_interval_finite_positive(self, interval):
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=5, sample_interval=interval)
 
     def test_metrics_count_bounds(self):
         for bad in (0, 4):
@@ -397,6 +410,35 @@ class TestParseCatalogSpec:
     def test_unknown_join_kind_rejected(self):
         with pytest.raises(ValueError):
             parse_catalog_spec("s:1", "zigzag")
+
+    @pytest.mark.parametrize(
+        "scans,joins",
+        [
+            ("s:nan", "hash"),
+            ("s:-2", "hash"),
+            ("s:1", "nested_loop:nan"),
+            ("s:1", "sort_merge:-5"),
+            ("s:1", "sort_merge:inf"),
+        ],
+    )
+    def test_bad_coefficients_rejected(self, scans, joins):
+        with pytest.raises(ValueError):
+            parse_catalog_spec(scans, joins)
+
+    @pytest.mark.parametrize(
+        "scans,joins",
+        [
+            ("seq_scan:1.0, sample_scan:0.1", "nested_loop, hash, sort_merge"),
+            ("s:2.5", "nested_loop:0.01, sort_merge:128"),
+            ("a:0.3, b:7", "sort_merge:0.5, hash, nested_loop:1e-07"),
+        ],
+    )
+    def test_config_header_round_trips(self, scans, joins):
+        cat = parse_catalog_spec(scans, joins)
+        lines = ExperimentConfig(n=5, catalog=cat).resolved_lines()
+        (line,) = [line for line in lines if line.startswith("catalog=")]
+        recorded = re.fullmatch(r"catalog=scans\[(.*)\] joins\[(.*)\]", line)
+        assert parse_catalog_spec(*recorded.groups()) == cat
 
     def test_experiment_accepts_custom_catalog(self):
         cat = parse_catalog_spec("s:1.0", "hash")
