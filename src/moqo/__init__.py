@@ -22,7 +22,6 @@ from .core import (
     Archive,
     OutputFormat,
     Plan,
-    TableSet,
     approx_dominates,
     strictly_dominates,
     weakly_dominates,
@@ -84,7 +83,6 @@ __all__ = [
     "SamplePoint",
     "ScanOp",
     "SelectivityMode",
-    "TableSet",
     "Topology",
     "alpha_schedule",
     "approx_dominates",

@@ -168,7 +168,7 @@ class SaState:
 
 def _random_neighbor(model: CostModel, plan: Plan, rng: random.Random) -> Plan:
     """Apply one random non-identity mutation at a random node."""
-    idx = rng.randrange(2 * len(plan.rel) - 1)
+    idx = rng.randrange(2 * plan.rel.bit_count() - 1)
     return _mutate_at(model, plan, idx, rng)
 
 
@@ -184,7 +184,7 @@ def _mutate_at(model: CostModel, plan: Plan, idx: int, rng: random.Random) -> Pl
             return plan
         return options[rng.randrange(len(options))]
     idx -= 1
-    outer_size = 2 * len(plan.outer.rel) - 1
+    outer_size = 2 * plan.outer.rel.bit_count() - 1
     if idx < outer_size:
         return model.join(
             _mutate_at(model, plan.outer, idx, rng), plan.inner, plan.join_op

@@ -1,8 +1,9 @@
 """Core value types for multi-objective plan optimization.
 
-Table sets are fixed-width bit masks, cost vectors are plain float tuples,
-plans are immutable binary trees with cached costs, and archives maintain
-mutually non-dominated plan sets per output format.
+Table sets are plain int bit masks with bit ``t`` set for table ``t``
+(no class of their own), cost vectors are plain float tuples, plans are
+immutable binary trees with cached costs, and archives maintain mutually
+non-dominated plan sets per output format.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import enum
 from operator import gt
 from typing import Iterator, Sequence
 
+# largest table count a query may have
 MAX_TABLES = 128
 
 # Cost vectors are tuples of finite non-negative 64-bit floats, one entry per
@@ -24,67 +26,6 @@ class OutputFormat(enum.Enum):
 
     PIPELINED = "pipelined"
     MATERIALIZED = "materialized"
-
-
-class TableSet:
-    """Immutable set of table indices packed into a 128-bit mask.
-
-    Hand-rolled rather than a frozen dataclass: instances are created in
-    the optimizer's innermost loops and attribute writes after
-    construction are forbidden by convention.
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int) -> None:
-        self.bits = bits
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TableSet) and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
-
-    @classmethod
-    def singleton(cls, table: int) -> TableSet:
-        if not 0 <= table < MAX_TABLES:
-            raise ValueError(f"table index {table} outside [0, {MAX_TABLES})")
-        return cls(1 << table)
-
-    @classmethod
-    def of(cls, tables: Sequence[int]) -> TableSet:
-        bits = 0
-        for t in tables:
-            if not 0 <= t < MAX_TABLES:
-                raise ValueError(f"table index {t} outside [0, {MAX_TABLES})")
-            bits |= 1 << t
-        return cls(bits)
-
-    @classmethod
-    def range_of(cls, n: int) -> TableSet:
-        """All tables 0..n-1."""
-        if not 0 <= n <= MAX_TABLES:
-            raise ValueError(f"table count {n} outside [0, {MAX_TABLES}]")
-        return cls((1 << n) - 1)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __contains__(self, table: int) -> bool:
-        return (self.bits >> table) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
-    def __repr__(self) -> str:
-        return f"TableSet({{{','.join(map(str, self))}}})"
 
 
 def _check_lengths(c1: CostVector, c2: CostVector) -> None:
@@ -195,7 +136,8 @@ class Plan:
     """Immutable binary plan tree node with cached derived values.
 
     A leaf scans one table with a scan operator; an internal node joins the
-    outputs of two disjoint sub-plans. ``cost``, ``out_card`` and ``fmt``
+    outputs of two disjoint sub-plans. ``rel`` is the int mask of the
+    tables the node covers. ``cost``, ``out_card`` and ``fmt``
     are fixed at construction, so nodes are safe to share between plans.
     Identity is object identity; equal-cost distinct trees stay distinct.
     """
@@ -207,7 +149,7 @@ class Plan:
 
     def __init__(
         self,
-        rel: TableSet,
+        rel: int,
         cost: CostVector,
         out_card: float,
         fmt: OutputFormat,
@@ -220,12 +162,12 @@ class Plan:
         if outer is not None:
             if inner is None:
                 raise ValueError("join needs both an outer and an inner input")
-            ob, ib = outer.rel.bits, inner.rel.bits
+            ob, ib = outer.rel, inner.rel
             if ob & ib:
                 raise ValueError("join inputs must cover disjoint table sets")
-            if ob | ib != rel.bits:
+            if ob | ib != rel:
                 raise ValueError("join rel must be the union of its input rels")
-        elif table < 0 or rel.bits != 1 << table:
+        elif table < 0 or rel != 1 << table:
             raise ValueError("leaf rel must be the single scanned table")
         self.rel = rel
         self.cost = cost

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CostVector, OutputFormat, Plan, TableSet
+from .core import MAX_TABLES, CostVector, OutputFormat, Plan
 
 METRIC_NAMES = ("time", "buffer", "disc")
 N_METRICS = 3
@@ -43,8 +43,8 @@ class QueryInstance:
     topology: Topology
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 128:
-            raise ValueError(f"table count {self.n} outside [1, 128]")
+        if not 1 <= self.n <= MAX_TABLES:
+            raise ValueError(f"table count {self.n} outside [1, {MAX_TABLES}]")
         if len(self.cards) != self.n:
             raise ValueError("need one cardinality per table")
         if any(c < 1 for c in self.cards):
@@ -78,19 +78,21 @@ def _topology_pairs(topology: Topology, n: int) -> set:
     raise ValueError(f"unknown topology {topology}")
 
 
-def cardinality(query: QueryInstance, tables: TableSet) -> float:
-    """Expected output rows of joining exactly the given tables.
+def cardinality(query: QueryInstance, tables: int) -> float:
+    """Expected output rows of joining exactly the tables of a bit mask.
 
-    Product of member cardinalities times the selectivity of every edge
-    with both endpoints inside the set. Join-order independent.
+    Product of member cardinalities, in table order, times the
+    selectivity of every edge with both endpoints inside the set.
+    Join-order independent.
     """
     if not tables:
         raise ValueError("cardinality of the empty table set is undefined")
     card = 1.0
-    for t in tables:
-        card *= query.cards[t]
+    for t in range(tables.bit_length()):
+        if tables >> t & 1:
+            card *= query.cards[t]
     for a, b, sel in query.edges:
-        if a in tables and b in tables:
+        if tables >> a & 1 and tables >> b & 1:
             card *= sel
     return card
 
@@ -209,16 +211,15 @@ class CostModel:
         if list(metrics) != sorted(metrics):
             raise ValueError("metrics must be listed in ascending order")
         self.metrics = metrics
-        self.full_set = TableSet.range_of(query.n)
+        self.full_set = (1 << query.n) - 1
         self._cross_sel: dict = {}
         self._leaves: dict = {}
-        # flattened per-op records and interned TableSets for the join
-        # fast path, which dominates optimizer run time
+        # flattened per-op records for the join fast path, which
+        # dominates optimizer run time
         self._join_specs = tuple(
             (op.kind, op.fmt, op.loop_factor, op.buffer_pages)
             for op in self.catalog.join_ops
         )
-        self._rels: dict = {self.full_set.bits: self.full_set}
         self._all_three = metrics == (0, 1, 2)
         # per edge, in query order: endpoint bits and selectivity; per
         # table, the bit mask of the indices of the edges touching it
@@ -247,9 +248,9 @@ class CostModel:
             _join_local3(self.catalog.join_ops[join_op], out_o, out_i, out)
         )
 
-    def cross_selectivity(self, left: TableSet, right: TableSet) -> float:
+    def cross_selectivity(self, lbits: int, rbits: int) -> float:
         """Product of the selectivities of the edges crossing between two
-        disjoint table sets.
+        disjoint table sets, given as bit masks.
 
         Factors are multiplied in query edge order, so the result is
         bit-identical to a plain scan over ``query.edges``. Overlapping
@@ -257,11 +258,9 @@ class CostModel:
         argument orders in the pair memo that ``join`` reads first; this
         method itself always computes.
         """
-        lbits = left.bits
-        rbits = right.bits
         if lbits & rbits:
             raise ValueError(
-                f"cross selectivity needs disjoint table sets: {left!r}, {right!r}"
+                f"cross selectivity needs disjoint table sets: {lbits:#x}, {rbits:#x}"
             )
         # an edge touching the smaller side crosses iff its other
         # endpoint lies in the other side
@@ -292,10 +291,15 @@ class CostModel:
         key = (table, scan_op)
         plan = self._leaves.get(key)
         if plan is None:
-            op = self.catalog.scan_ops[scan_op]
+            if not 0 <= table < self.query.n:
+                raise ValueError(f"table index {table} outside [0, {self.query.n})")
+            ops = self.catalog.scan_ops
+            if not 0 <= scan_op < len(ops):
+                raise ValueError(f"scan operator {scan_op} outside [0, {len(ops)})")
+            op = ops[scan_op]
             card = float(self.query.cards[table])
             plan = Plan(
-                rel=TableSet.singleton(table),
+                rel=1 << table,
                 cost=self.scan_local_cost(scan_op, card),
                 out_card=card,
                 fmt=op.fmt,
@@ -331,7 +335,7 @@ class CostModel:
         cs = self._cross_sel.get((obits, ibits))
         if cs is None:
             # overlapping sets are never memoized, so they land here
-            cs = self.cross_selectivity(TableSet(obits), TableSet(ibits))
+            cs = self.cross_selectivity(obits, ibits)
         out = oc * ic * cs
         kind, _, loop_factor, buffer_pages = self._join_specs[join_op]
         if kind == "nested_loop":
@@ -362,16 +366,12 @@ class CostModel:
 
     def join(self, outer: Plan, inner: Plan, join_op: int) -> Plan:
         """Build the join node of two plans: ``join_cost`` plus the node."""
-        obits = outer.rel.bits
-        ibits = inner.rel.bits
+        obits = outer.rel
+        ibits = inner.rel
         cost, out = self.join_cost(
             obits, outer.cost, outer.out_card, ibits, inner.cost, inner.out_card, join_op
         )
-        rbits = obits | ibits
-        rel = self._rels.get(rbits)
-        if rel is None:
-            rel = TableSet(rbits)
-            self._rels[rbits] = rel
+        rel = obits | ibits
         return Plan(
             rel, cost, out, self._join_specs[join_op][1], -1, -1, outer, inner, join_op
         )

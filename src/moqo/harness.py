@@ -105,8 +105,9 @@ class ExperimentConfig:
             raise ValueError("set exactly one of budget_ms and budget_iters")
         if self.budget_ms is not None and not 0 <= self.budget_ms < math.inf:
             raise ValueError("budget_ms must be finite and >= 0")
-        if self.budget_iters is not None and self.budget_iters < 0:
-            raise ValueError("budget_iters must be >= 0")
+        iters = self.budget_iters
+        if iters is not None and not (type(iters) is int and iters >= 0):
+            raise ValueError(f"budget_iters must be an int >= 0, got {iters!r}")
         if not 0 < self.sample_interval < math.inf:
             raise ValueError("sample_interval must be finite and > 0")
         if not self.seeds:

@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple
 from .core import (
     Archive,
     Plan,
-    TableSet,
     any_within,
     drop_dominated,
     strictly_dominates,
@@ -224,24 +223,20 @@ def _priced_candidates(model: CostModel, plan: Plan, memo: dict) -> list:
                 a, b, op = move
                 if a.__class__ is tuple:
                     x, y, sub_op = a
-                    xbits = x.rel.bits
-                    ybits = y.rel.bits
                     acost, acard = join_cost(
-                        xbits, x.cost, x.out_card, ybits, y.cost, y.out_card, sub_op
+                        x.rel, x.cost, x.out_card, y.rel, y.cost, y.out_card, sub_op
                     )
-                    abits = xbits | ybits
+                    abits = x.rel | y.rel
                 else:
-                    abits, acost, acard = a.rel.bits, a.cost, a.out_card
+                    abits, acost, acard = a.rel, a.cost, a.out_card
                 if b.__class__ is tuple:
                     x, y, sub_op = b
-                    xbits = x.rel.bits
-                    ybits = y.rel.bits
                     bcost, bcard = join_cost(
-                        xbits, x.cost, x.out_card, ybits, y.cost, y.out_card, sub_op
+                        x.rel, x.cost, x.out_card, y.rel, y.cost, y.out_card, sub_op
                     )
-                    bbits = xbits | ybits
+                    bbits = x.rel | y.rel
                 else:
-                    bbits, bcost, bcard = b.rel.bits, b.cost, b.out_card
+                    bbits, bcost, bcard = b.rel, b.cost, b.out_card
                 cost = join_cost(abits, acost, acard, bbits, bcost, bcard, op)[0]
                 out.append((fmts[op], cost, move))
     return out
@@ -295,7 +290,7 @@ def prune_approx(plans: list, new_plan: Plan, alpha: float) -> list:
 
 
 class PlanCache:
-    """Frontier lists keyed by table set, shared across iterations.
+    """Frontier lists keyed by table set bit mask, shared across iterations.
 
     Entries are never evicted; precision only enters through the alpha
     used at insertion time.
@@ -307,14 +302,14 @@ class PlanCache:
         self._lists: dict = {}
         self._count = 0
 
-    def frontier(self, rel: TableSet) -> list:
+    def frontier(self, rel: int) -> list:
         lst = self._lists.get(rel)
         if lst is None:
             lst = []
             self._lists[rel] = lst
         return lst
 
-    def offer(self, rel: TableSet, plan: Plan, alpha: float) -> None:
+    def offer(self, rel: int, plan: Plan, alpha: float) -> None:
         lst = self.frontier(rel)
         before = len(lst)
         prune_approx(lst, plan, alpha)
@@ -360,9 +355,9 @@ def offer_join_combinations(
     join_cost = model.join_cost
     fmts = [op.fmt for op in model.catalog.join_ops]
     for o in outs:
-        obits, ocost, oc = o.rel.bits, o.cost, o.out_card
+        obits, ocost, oc = o.rel, o.cost, o.out_card
         for i in ins:
-            ibits, icost, ic = i.rel.bits, i.cost, i.out_card
+            ibits, icost, ic = i.rel, i.cost, i.out_card
             for op, fmt in enumerate(fmts):
                 cost = join_cost(obits, ocost, oc, ibits, icost, ic, op)[0]
                 if any_within(plans, fmt, [alpha * c for c in cost]):
@@ -414,9 +409,10 @@ class Budget:
     def __post_init__(self) -> None:
         if self.max_iterations is None and self.deadline_s in (None, math.inf):
             raise ValueError("budget needs an iteration cap or a finite deadline")
+        cap = self.max_iterations
+        if cap is not None and not (type(cap) is int and cap >= 0):
+            raise ValueError(f"iteration cap must be an int >= 0, got {cap!r}")
         # written as not-(x >= 0) so that nan fails too
-        if self.max_iterations is not None and not self.max_iterations >= 0:
-            raise ValueError("iteration cap must be >= 0")
         if self.deadline_s is not None and not self.deadline_s >= 0:
             raise ValueError("deadline must be >= 0")
 

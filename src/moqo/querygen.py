@@ -12,6 +12,7 @@ import enum
 import random
 from dataclasses import dataclass
 
+from .core import MAX_TABLES
 from .costmodel import QueryInstance, Topology
 
 # (weight, low, high) with both bounds drawable.
@@ -36,8 +37,8 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 128:
-            raise ValueError(f"table count {self.n} outside [1, 128]")
+        if not 1 <= self.n <= MAX_TABLES:
+            raise ValueError(f"table count {self.n} outside [1, {MAX_TABLES}]")
         if self.topology is Topology.CYCLE and self.n < 3:
             raise ValueError("cycle topology needs at least 3 tables")
 

@@ -24,7 +24,6 @@ from moqo.core import (
     Archive,
     OutputFormat,
     Plan,
-    TableSet,
     approx_dominates,
     weakly_dominates,
 )
@@ -209,7 +208,7 @@ class TestCriterion6:
 
 def _leaf_plan(cost, fmt):
     return Plan(
-        rel=TableSet.singleton(0),
+        rel=0b1,
         cost=cost,
         out_card=1.0,
         fmt=fmt,
@@ -270,7 +269,7 @@ class TestCriterion7:
     def _archive_and_cache_failures(self):
         rng = random.Random(70)
         failures = 0
-        rel = TableSet.singleton(0)
+        rel = 0b1
         for _ in range(100):
             archive = Archive()
             cache = PlanCache()
@@ -317,7 +316,8 @@ class TestCriterion7:
             p = random_plan(m, rng)
             nodes = list(p.nodes())
             target = nodes[rng.randrange(len(nodes))]
-            replacement = _random_tree(m, list(target.rel), rng)
+            tables = [t for t in range(m.query.n) if target.rel >> t & 1]
+            replacement = _random_tree(m, tables, rng)
             if not weakly_dominates(replacement.cost, target.cost):
                 continue
             spliced = _splice(m, p, target, replacement)

@@ -48,7 +48,7 @@ def enumerate_all_plans(model, bits=None):
     can cross-check each other.
     """
     if bits is None:
-        bits = model.full_set.bits
+        bits = model.full_set
     tables = []
     b = bits
     while b:

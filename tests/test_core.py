@@ -1,4 +1,4 @@
-"""Dominance relations, table sets, plan nodes and the archive."""
+"""Dominance relations, plan nodes and the archive."""
 
 import math
 import random
@@ -10,7 +10,6 @@ from moqo.core import (
     Archive,
     OutputFormat,
     Plan,
-    TableSet,
     approx_dominates,
     strictly_dominates,
     weakly_dominates,
@@ -19,51 +18,13 @@ from moqo.core import (
 
 def make_leaf(table=0, cost=(1.0, 1.0), fmt=OutputFormat.PIPELINED, card=10.0):
     return Plan(
-        rel=TableSet.singleton(table),
+        rel=1 << table,
         cost=cost,
         out_card=card,
         fmt=fmt,
         table=table,
         scan_op=0,
     )
-
-
-class TestTableSet:
-    def test_singleton_and_contains(self):
-        s = TableSet.singleton(5)
-        assert 5 in s
-        assert 4 not in s
-        assert len(s) == 1
-        assert list(s) == [5]
-
-    def test_of_and_iteration_order(self):
-        s = TableSet.of([7, 2, 4])
-        assert list(s) == [2, 4, 7]
-        assert len(s) == 3
-
-    def test_range_of(self):
-        s = TableSet.range_of(4)
-        assert list(s) == [0, 1, 2, 3]
-        assert TableSet.range_of(0).bits == 0
-        assert not TableSet.range_of(0)
-
-    def test_equality_and_hash(self):
-        assert TableSet.of([0, 3]) == TableSet.of([3, 0])
-        assert hash(TableSet.of([0, 3])) == hash(TableSet.of([0, 3]))
-        assert TableSet.of([0]) != TableSet.of([1])
-        assert TableSet.of([0]) != 1
-
-    def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            TableSet.singleton(-1)
-        with pytest.raises(ValueError):
-            TableSet.singleton(MAX_TABLES)
-        with pytest.raises(ValueError):
-            TableSet.of([0, MAX_TABLES])
-        with pytest.raises(ValueError):
-            TableSet.range_of(MAX_TABLES + 1)
-        TableSet.singleton(MAX_TABLES - 1)
-        TableSet.range_of(MAX_TABLES)
 
 
 class TestDominance:
@@ -154,14 +115,14 @@ class TestPlan:
         leaf = make_leaf(table=3)
         assert not leaf.is_join
         assert leaf.table == 3
-        assert list(leaf.rel) == [3]
+        assert leaf.rel == 0b1000
         assert list(leaf.nodes()) == [leaf]
 
     def test_join_fields_and_nodes(self):
         a = make_leaf(0)
         b = make_leaf(1)
         j = Plan(
-            rel=TableSet.of([0, 1]),
+            rel=0b11,
             cost=(3.0, 3.0),
             out_card=5.0,
             fmt=OutputFormat.PIPELINED,
@@ -179,7 +140,7 @@ class TestPlan:
         a = make_leaf(0)
         with pytest.raises(ValueError):
             Plan(
-                rel=TableSet.of([0]),
+                rel=0b1,
                 cost=(1.0,),
                 out_card=1.0,
                 fmt=OutputFormat.PIPELINED,
@@ -193,7 +154,7 @@ class TestPlan:
         b = make_leaf(1)
         with pytest.raises(ValueError):
             Plan(
-                rel=TableSet.of([0, 1, 2]),
+                rel=0b111,
                 cost=(1.0,),
                 out_card=1.0,
                 fmt=OutputFormat.PIPELINED,
@@ -205,7 +166,7 @@ class TestPlan:
     def test_leaf_rel_must_match_table(self):
         with pytest.raises(ValueError):
             Plan(
-                rel=TableSet.of([0, 1]),
+                rel=0b11,
                 cost=(1.0,),
                 out_card=1.0,
                 fmt=OutputFormat.PIPELINED,
@@ -214,7 +175,7 @@ class TestPlan:
             )
         with pytest.raises(ValueError):
             Plan(
-                rel=TableSet.singleton(2),
+                rel=0b100,
                 cost=(1.0,),
                 out_card=1.0,
                 fmt=OutputFormat.PIPELINED,

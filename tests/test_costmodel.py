@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from moqo.core import OutputFormat, TableSet, weakly_dominates
+from moqo.core import MAX_TABLES, OutputFormat, weakly_dominates
 from moqo.costmodel import (
     CostModel,
     JoinOp,
@@ -21,6 +21,11 @@ from moqo.costmodel import (
 )
 from moqo.optimizer import random_plan
 from moqo.querygen import GenSpec, generate_query
+
+
+def _tables(mask):
+    """Table indices of a bit mask, ascending."""
+    return [t for t in range(mask.bit_length()) if mask >> t & 1]
 
 
 def chain3():
@@ -88,28 +93,37 @@ class TestQueryInstance:
 class TestCardinality:
     def test_internal_edges_only(self):
         q = chain3()
-        assert cardinality(q, TableSet.of([0])) == 10.0
-        assert cardinality(q, TableSet.of([0, 1])) == 10 * 20 * 0.1
+        assert cardinality(q, 0b1) == 10.0
+        assert cardinality(q, 0b11) == 10 * 20 * 0.1
         # 0 and 2 are not adjacent in the chain: cross product
-        assert cardinality(q, TableSet.of([0, 2])) == 10.0 * 30.0
-        assert cardinality(q, TableSet.of([0, 1, 2])) == 10 * 20 * 30 * 0.1 * 0.5
+        assert cardinality(q, 0b101) == 10.0 * 30.0
+        assert cardinality(q, 0b111) == 10 * 20 * 30 * 0.1 * 0.5
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            cardinality(chain3(), TableSet.of([]))
+            cardinality(chain3(), 0)
 
     def test_join_order_independent(self):
+        # n=70 puts table bits above bit 63 of the masks
         rng = random.Random(9)
-        spec = GenSpec(n=6, topology=Topology.CYCLE, seed=5)
-        q = generate_query(spec)
-        m = CostModel(q)
-        for _ in range(200):
-            p1 = random_plan(m, rng)
-            p2 = random_plan(m, rng)
-            # same full relation set, so identical output cardinality
-            assert math.isclose(
-                p1.out_card, p2.out_card, rel_tol=1e-9
-            ), (p1.out_card, p2.out_card)
+        for n in (6, 70):
+            for topology in Topology:
+                q = generate_query(GenSpec(n=n, topology=topology, seed=5))
+                m = CostModel(q)
+                for _ in range(25):
+                    p1 = random_plan(m, rng)
+                    p2 = random_plan(m, rng)
+                    # same full relation set, so identical output cardinality
+                    assert math.isclose(
+                        p1.out_card, p2.out_card, rel_tol=1e-9
+                    ), (p1.out_card, p2.out_card)
+                    # and every node agrees with the order-free formula
+                    for node in [*p1.nodes(), *p2.nodes()]:
+                        expected = cardinality(q, node.rel)
+                        assert math.isfinite(expected), (n, topology, node.rel)
+                        assert math.isclose(
+                            node.out_card, expected, rel_tol=1e-9
+                        ), (node.out_card, expected)
 
 
 class TestOperators:
@@ -200,6 +214,17 @@ class TestCostModel:
         assert leaf.out_card == 20.0
         assert m.leaf(1, 1) is leaf
 
+    def test_leaf_range_checked(self):
+        m = CostModel(chain3())
+        for table, scan_op in ((-1, 0), (3, 0), (0, -1), (0, 2)):
+            with pytest.raises(ValueError):
+                m.leaf(table, scan_op)
+        big = CostModel(generate_query(GenSpec(n=MAX_TABLES, seed=0)))
+        assert big.full_set == (1 << MAX_TABLES) - 1
+        assert big.leaf(MAX_TABLES - 1, 0).rel == 1 << (MAX_TABLES - 1)
+        with pytest.raises(ValueError):
+            big.leaf(MAX_TABLES, 0)
+
     def test_join_totals(self):
         m = CostModel(chain3())
         a = m.leaf(0, 0)  # cost (10,1,1), card 10
@@ -209,18 +234,18 @@ class TestCostModel:
         # local (10+20+20, 10, 1 floored) plus both children
         assert j.cost == (50.0 + 10.0 + 20.0, 10.0 + 1.0 + 1.0, 3.0)
         assert j.fmt is OutputFormat.PIPELINED
-        assert list(j.rel) == [0, 1]
+        assert j.rel == 0b11
 
     def test_cross_selectivity_symmetry(self):
         m = CostModel(chain3())
-        a = TableSet.of([0])
-        b = TableSet.of([1, 2])
+        a = 0b1
+        b = 0b110
         assert m.cross_selectivity(a, b) == m.cross_selectivity(b, a) == 0.1
 
     def test_cross_selectivity_rejects_overlap(self):
         m = CostModel(chain3())
         with pytest.raises(ValueError, match="disjoint"):
-            m.cross_selectivity(TableSet.of([0, 1]), TableSet.of([1, 2]))
+            m.cross_selectivity(0b11, 0b110)
 
     def test_join_commutation_changes_cost(self):
         m = CostModel(chain3())
@@ -257,6 +282,8 @@ def _bits(values):
 
 def _plain_cross_selectivity(query, left, right):
     """Reference: one pass over the query edges in their listed order."""
+    left = _tables(left)
+    right = _tables(right)
     sel = 1.0
     for a, b, s in query.edges:
         if (a in left and b in right) or (a in right and b in left):
@@ -288,8 +315,8 @@ class TestCrossSelectivityDifferential:
             for _ in range(40):
                 # each table lands left, right or in neither set
                 sides = [rng.randrange(3) for _ in range(q.n)]
-                left = TableSet.of([t for t in range(q.n) if sides[t] == 0])
-                right = TableSet.of([t for t in range(q.n) if sides[t] == 1])
+                left = sum(1 << t for t in range(q.n) if sides[t] == 0)
+                right = sum(1 << t for t in range(q.n) if sides[t] == 1)
                 expected = _bits([_plain_cross_selectivity(q, left, right)])
                 assert _bits([m.cross_selectivity(left, right)]) == expected
                 assert _bits([m.cross_selectivity(right, left)]) == expected
@@ -358,7 +385,7 @@ class TestMonotonicity:
             p = random_plan(m, rng)
             nodes = list(p.nodes())
             target = nodes[rng.randrange(len(nodes))]
-            replacement = _random_tree(m, list(target.rel), rng)
+            replacement = _random_tree(m, _tables(target.rel), rng)
             if not weakly_dominates(replacement.cost, target.cost):
                 continue
             spliced = _splice(m, p, target, replacement)
@@ -376,7 +403,7 @@ class TestMonotonicity:
             p = random_plan(m, rng)
             nodes = list(p.nodes())
             target = nodes[rng.randrange(len(nodes))]
-            replacement = _random_tree(m, list(target.rel), rng)
+            replacement = _random_tree(m, _tables(target.rel), rng)
             if replacement.out_card != target.out_card:
                 continue
             if not weakly_dominates(replacement.cost, target.cost):

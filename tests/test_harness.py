@@ -161,6 +161,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, budget_ms=budget_ms)
 
+    @pytest.mark.parametrize("budget_iters", [math.nan, 2.5, 10.0, True, -1])
+    def test_iteration_budget_is_int(self, budget_iters):
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=5, budget_ms=None, budget_iters=budget_iters)
+
     @pytest.mark.parametrize("interval", [math.nan, math.inf, 0.0, -5.0])
     def test_sample_interval_finite_positive(self, interval):
         with pytest.raises(ValueError):

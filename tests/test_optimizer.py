@@ -10,7 +10,6 @@ import pytest
 from moqo.core import (
     Archive,
     OutputFormat,
-    TableSet,
     approx_dominates,
     strictly_dominates,
     weakly_dominates,
@@ -216,7 +215,7 @@ def make_plan(cost, fmt=OutputFormat.PIPELINED, table=0):
     from moqo.core import Plan
 
     return Plan(
-        rel=TableSet.singleton(table),
+        rel=1 << table,
         cost=cost,
         out_card=1.0,
         fmt=fmt,
@@ -621,13 +620,13 @@ class TestParetoClimb:
 class TestPlanCache:
     def test_frontier_starts_empty(self):
         cache = PlanCache()
-        rel = TableSet.of([0, 1])
+        rel = 0b11
         assert cache.frontier(rel) == []
         assert cache.stats()["keys"] == 1
 
     def test_offer_tracks_count(self):
         cache = PlanCache()
-        rel = TableSet.singleton(0)
+        rel = 0b1
         cache.offer(rel, make_plan((1.0, 4.0)), 1.0)
         cache.offer(rel, make_plan((4.0, 1.0), table=0), 1.0)
         assert cache.stats()["plans"] == 2
@@ -642,7 +641,7 @@ class TestApproximateFrontiers:
         cache = PlanCache()
         plan = m.leaf(0, 0)
         approximate_frontiers(m, plan, cache, 1)
-        fronts = cache.frontier(TableSet.singleton(0))
+        fronts = cache.frontier(0b1)
         assert [p.scan_op for p in fronts] == [0]
 
     def test_leaf_frontier_alpha_tight(self):
@@ -651,7 +650,7 @@ class TestApproximateFrontiers:
         m = CostModel(query(1, cards=(100,)))
         cache = PlanCache()
         approximate_frontiers(m, m.leaf(0, 0), cache, 10**6)
-        fronts = cache.frontier(TableSet.singleton(0))
+        fronts = cache.frontier(0b1)
         assert [p.scan_op for p in fronts] == [1]
 
     def test_covers_all_subtrees(self):
@@ -661,7 +660,7 @@ class TestApproximateFrontiers:
         cache = PlanCache()
         approximate_frontiers(m, plan, cache, 10**6)
         for node in plan.nodes():
-            assert cache.frontier(node.rel), f"empty frontier for {node.rel}"
+            assert cache.frontier(node.rel), f"empty frontier for {node.rel:#b}"
 
     def test_join_frontier_crosses_cached_inputs(self):
         # both scan variants reach the leaf frontiers at tight alpha only
@@ -675,12 +674,12 @@ class TestApproximateFrontiers:
         plan = m.join(m.leaf(0, 0), m.leaf(1, 0), 1)
         cache = PlanCache()
         approximate_frontiers(m, plan, cache, 10**6)
-        assert len(cache.frontier(TableSet.singleton(0))) == 2
-        assert len(cache.frontier(TableSet.singleton(1))) == 2
+        assert len(cache.frontier(0b1)) == 2
+        assert len(cache.frontier(0b10)) == 2
         full = cache.frontier(m.full_set)
         naive = []
-        for o in cache.frontier(TableSet.singleton(0)):
-            for i in cache.frontier(TableSet.singleton(1)):
+        for o in cache.frontier(0b1):
+            for i in cache.frontier(0b10):
                 for op in range(3):
                     naive_prune_approx(naive, m.join(o, i, op), 1.0)
         assert sorted(p.cost for p in full) == sorted(p.cost for p in naive)
@@ -731,9 +730,7 @@ class TestRmqOptimize:
             rmq_optimize(m, Budget(max_iterations=5), seed=seed, cache=cache)
             # every frontier a run refines holds at least one plan
             keysets.append(
-                frozenset(
-                    bits for bits in range(1, 1 << 8) if cache.frontier(TableSet(bits))
-                )
+                frozenset(bits for bits in range(1, 1 << 8) if cache.frontier(bits))
             )
         assert keysets[0] != keysets[1]
 
@@ -804,6 +801,13 @@ class TestBudget:
             Budget(max_iterations=math.nan)
         with pytest.raises(ValueError):
             Budget(max_iterations=5, deadline_s=math.nan)
+
+    @pytest.mark.parametrize("cap", [2.5, 10.0, True, False])
+    def test_cap_is_int(self, cap):
+        with pytest.raises(ValueError):
+            Budget(max_iterations=cap)
+        with pytest.raises(ValueError):
+            Budget(max_iterations=cap, deadline_s=1.0)
 
     def test_infinite_deadline_needs_cap(self):
         with pytest.raises(ValueError):
@@ -939,10 +943,10 @@ def _priced_input(model, side):
     if isinstance(side, tuple):
         x, y, op = side
         cost, card = model.join_cost(
-            x.rel.bits, x.cost, x.out_card, y.rel.bits, y.cost, y.out_card, op
+            x.rel, x.cost, x.out_card, y.rel, y.cost, y.out_card, op
         )
-        return x.rel.bits | y.rel.bits, cost, card
-    return side.rel.bits, side.cost, side.out_card
+        return x.rel | y.rel, cost, card
+    return side.rel, side.cost, side.out_card
 
 
 @pytest.mark.parametrize("metrics", [(0, 1, 2), (0, 2), (1,)])
@@ -953,7 +957,7 @@ def test_cost_part_rejects_overlap(metrics):
     for op in range(3):
         with pytest.raises(ValueError, match="disjoint"):
             m.join_cost(
-                ab.rel.bits, ab.cost, ab.out_card, bc.rel.bits, bc.cost, bc.out_card, op
+                ab.rel, ab.cost, ab.out_card, bc.rel, bc.cost, bc.out_card, op
             )
         with pytest.raises(ValueError):
             m.join(ab, bc, op)
@@ -967,7 +971,7 @@ def _reference_mutate_at(model, plan, idx, rng):
             return plan
         return options[rng.randrange(len(options))]
     idx -= 1
-    outer_size = 2 * len(plan.outer.rel) - 1
+    outer_size = 2 * plan.outer.rel.bit_count() - 1
     if idx < outer_size:
         return model.join(
             _reference_mutate_at(model, plan.outer, idx, rng), plan.inner, plan.join_op
@@ -996,7 +1000,7 @@ class TestSaNeighborDifferential:
                     for _ in range(40):
                         ref_rng = random.Random()
                         ref_rng.setstate(rng.getstate())
-                        idx = ref_rng.randrange(2 * len(plan.rel) - 1)
+                        idx = ref_rng.randrange(2 * plan.rel.bit_count() - 1)
                         want = _reference_mutate_at(m, plan, idx, ref_rng)
                         got = _random_neighbor(m, plan, rng)
                         assert rng.getstate() == ref_rng.getstate()
