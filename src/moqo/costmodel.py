@@ -85,8 +85,8 @@ def cardinality(query: QueryInstance, tables: int) -> float:
     selectivity of every edge with both endpoints inside the set.
     Join-order independent.
     """
-    if not tables:
-        raise ValueError("cardinality of the empty table set is undefined")
+    if not 0 < tables < 1 << query.n:
+        raise ValueError(f"table mask {tables:#x} is empty or outside the query")
     card = 1.0
     for t in range(tables.bit_length()):
         if tables >> t & 1:

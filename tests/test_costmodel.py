@@ -100,17 +100,18 @@ class TestCardinality:
         assert cardinality(q, 0b111) == 10 * 20 * 30 * 0.1 * 0.5
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            cardinality(chain3(), 0)
+        for mask in (0, -1, 0b1000):
+            with pytest.raises(ValueError):
+                cardinality(chain3(), mask)
 
     def test_join_order_independent(self):
         # n=70 puts table bits above bit 63 of the masks
         rng = random.Random(9)
-        for n in (6, 70):
+        for n, pairs in ((6, 200), (70, 25)):
             for topology in Topology:
                 q = generate_query(GenSpec(n=n, topology=topology, seed=5))
                 m = CostModel(q)
-                for _ in range(25):
+                for _ in range(pairs):
                     p1 = random_plan(m, rng)
                     p2 = random_plan(m, rng)
                     # same full relation set, so identical output cardinality
