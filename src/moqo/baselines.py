@@ -10,8 +10,8 @@ exhaustive oracle and the DP scheme are deliberately separate
 implementations of frontier search; their agreement at full precision is
 the package's keystone correctness check. The exhaustive oracle is a
 plain enumeration into one ``Archive`` per table set, built with
-``CostModel.leaf``/``CostModel.join`` and ``Archive.insert`` and no numpy,
-so the only code it shares with DP is the cost model and the archive.
+``CostModel.leaf``/``CostModel.join`` and ``Archive.insert``, so the
+only code it shares with DP is the cost model and the archive.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import gt, itemgetter
 
 from .core import Archive, Plan, strictly_dominates
 from .costmodel import CostModel
@@ -345,21 +344,32 @@ def decode_genes(model: CostModel, genes: list) -> Plan:
 
 
 def nondominated_ranks(costs: list) -> list:
-    """Fast non-dominated sort; rank 0 is the Pareto frontier."""
-    arr = np.array(costs, dtype=float)
-    le = (arr[:, None, :] <= arr[None, :, :]).all(-1)
-    lt = (arr[:, None, :] < arr[None, :, :]).any(-1)
-    dominates = le & lt
-    ranks = np.full(len(costs), -1, dtype=int)
-    remaining = np.ones(len(costs), dtype=bool)
-    rank = 0
-    while remaining.any():
-        blocked = (dominates & remaining[:, None]).any(0)
-        front = remaining & ~blocked
-        ranks[front] = rank
-        remaining &= ~front
-        rank += 1
-    return ranks.tolist()
+    """Non-dominated sort; rank 0 is the Pareto frontier.
+
+    Sequential-search ENS (Zhang et al., IEEE TEVC 2015): in
+    lexicographic order no vector is dominated by a later one, so each
+    vector joins the first front with no member that dominates it.
+    Vectors of different widths and nan components raise ``ValueError``.
+    """
+    vecs = [tuple(c) for c in costs]
+    if any(len(c) != len(vecs[0]) or any(map(math.isnan, c)) for c in vecs):
+        raise ValueError("cost vectors must share one width and hold no nan")
+    ranks = [0] * len(vecs)
+    fronts: list = []
+    for i, c in sorted(enumerate(vecs), key=itemgetter(1)):
+        for rank, front in enumerate(fronts):
+            # newest first; f != c first, as duplicates fill NSGA-II fronts
+            for f in reversed(front):
+                if f != c and not any(map(gt, f, c)):
+                    break
+            else:
+                front.append(c)
+                break
+        else:
+            rank = len(fronts)
+            fronts.append([c])
+        ranks[i] = rank
+    return ranks
 
 
 def _crowding_distances(costs: list) -> list:

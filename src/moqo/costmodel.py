@@ -59,22 +59,24 @@ class QueryInstance:
             seen.add(key)
             if not 0.0 < sel <= 1.0:
                 raise ValueError(f"selectivity {sel} outside (0, 1]")
-        expected = _topology_pairs(self.topology, self.n)
-        if seen != expected:
+        expected = topology_edges(self.topology, self.n)
+        if seen != {(min(a, b), max(a, b)) for a, b in expected}:
             raise ValueError(
                 f"edge set does not match {self.topology.value} over {self.n} tables"
             )
 
 
-def _topology_pairs(topology: Topology, n: int) -> set:
+def topology_edges(topology: Topology, n: int) -> list:
+    """The table pairs of a topology over n tables, in the order query
+    generation draws their selectivities; a cycle closes with (n-1, 0)."""
     if topology is Topology.CHAIN:
-        return {(i, i + 1) for i in range(n - 1)}
+        return [(i, i + 1) for i in range(n - 1)]
     if topology is Topology.CYCLE:
         if n < 3:
             raise ValueError("cycle topology needs at least 3 tables")
-        return {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+        return [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
     if topology is Topology.STAR:
-        return {(0, i) for i in range(1, n)}
+        return [(0, i) for i in range(1, n)]
     raise ValueError(f"unknown topology {topology}")
 
 

@@ -14,9 +14,8 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, fields
+from operator import truediv
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .baselines import dp_frontier, run_2p, run_ii, run_nsga2, run_sa
 from .core import Archive
@@ -41,27 +40,30 @@ class ReferenceMode(enum.Enum):
 
 def epsilon_indicator(candidate: Sequence, reference: Sequence) -> float:
     """Smallest factor by which the candidate set must be inflated to
-    cover every reference vector.
+    cover every reference vector: max over ``r`` of min over ``c`` of
+    ``max_k c[k] / r[k]``. An empty candidate scores +inf.
 
-    Assumes strictly positive components (the cost model floors every
-    metric at 1). An empty candidate cannot cover anything and scores
-    +inf; an empty reference is a caller error, and so is a non-finite
-    component in either set, whose ratios would be inf or nan.
+    The cost model floors every metric at 1. A component outside
+    (0, inf), an empty reference or a width mismatch raises ``ValueError``.
     """
     if len(reference) == 0:
         raise ValueError("reference set must not be empty")
-    ref = np.array(reference, dtype=float)
-    if not np.isfinite(ref).all():
-        raise ValueError("reference costs must be finite")
+    width = _checked_width(reference, "reference")
     if len(candidate) == 0:
         return math.inf
-    cand = np.array(candidate, dtype=float)
-    if not np.isfinite(cand).all():
-        raise ValueError("candidate costs must be finite")
-    if cand.shape[1] != ref.shape[1]:
+    if _checked_width(candidate, "candidate") != width:
         raise ValueError("candidate and reference metric counts differ")
-    ratios = (cand[:, None, :] / ref[None, :, :]).max(-1)
-    return float(ratios.min(0).max())
+    return max(min(max(map(truediv, c, r)) for c in candidate) for r in reference)
+
+
+def _checked_width(costs: Sequence, name: str) -> int:
+    width = len(costs[0])
+    for c in costs:
+        if len(c) != width:
+            raise ValueError(f"{name} cost vectors differ in width")
+        if not all(0.0 < x < math.inf for x in c):
+            raise ValueError(f"{name} costs must be finite and > 0, got {c}")
+    return width
 
 
 def build_reference(
@@ -72,8 +74,7 @@ def build_reference(
     if mode is ReferenceMode.EXACT:
         if model.query.n > 7:
             raise ValueError("exact reference mode supports at most 7 tables")
-        archive = dp_frontier(model, 1.01)
-        return archive.costs()
+        return dp_frontier(model, 1.01).costs()
     union = Archive()
     for archive in runs.values():
         for plan in archive:
@@ -333,9 +334,7 @@ def _carry_forward(snapshots: list, marks: list, reference: list) -> list:
 
 
 def _aggregate_path(path: str) -> str:
-    if path.endswith(".csv"):
-        return path[: -len(".csv")] + ".agg.csv"
-    return path + ".agg.csv"
+    return path.removesuffix(".csv") + ".agg.csv"
 
 
 def _format_error(value: float) -> str:
@@ -351,27 +350,25 @@ def sample_row(s: SamplePoint) -> str:
 
 
 def write_samples_csv(path: str, cfg: ExperimentConfig, samples: list) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in cfg.resolved_lines():
-                fh.write(f"# {line}\n")
-            fh.write(SAMPLES_HEADER + "\n")
-            for s in samples:
-                fh.write(sample_row(s) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write samples CSV to {path!r}: {exc}") from exc
+    _write_csv(path, cfg, "samples", SAMPLES_HEADER, map(sample_row, samples))
 
 
 def write_aggregate_csv(path: str, cfg: ExperimentConfig, aggregates: list) -> None:
+    rows = (f"{a},{mark:g},{_format_error(median)}" for a, mark, median in aggregates)
+    _write_csv(path, cfg, "aggregate", "algorithm,elapsed_ms,median_alpha", rows)
+
+
+def _write_csv(path: str, cfg: ExperimentConfig, what: str, header: str, rows) -> None:
+    """The config as ``# key=value`` comment lines, then header and rows."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             for line in cfg.resolved_lines():
                 fh.write(f"# {line}\n")
-            fh.write("algorithm,elapsed_ms,median_alpha\n")
-            for algorithm, mark, median in aggregates:
-                fh.write(f"{algorithm},{mark:g},{_format_error(median)}\n")
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(row + "\n")
     except OSError as exc:
-        raise OSError(f"cannot write aggregate CSV to {path!r}: {exc}") from exc
+        raise OSError(f"cannot write {what} CSV to {path!r}: {exc}") from exc
 
 
 def read_samples_csv(path: str) -> list:
@@ -414,8 +411,9 @@ class ClimbStatsConfig:
             raise ValueError("need at least one seed")
         if not self.table_counts:
             raise ValueError("need at least one table count")
-        if self.rmq_iterations < 0:
-            raise ValueError("rmq_iterations must be >= 0")
+        iters = self.rmq_iterations
+        if not (type(iters) is int and iters >= 0):
+            raise ValueError(f"rmq_iterations must be an int >= 0, got {iters!r}")
 
 
 def climb_stats(cfg: ClimbStatsConfig) -> list:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .core import MAX_TABLES
-from .costmodel import QueryInstance, Topology
+from .costmodel import QueryInstance, Topology, topology_edges
 
 # (weight, low, high) with both bounds drawable.
 _CARD_STRATA = (
@@ -71,16 +71,6 @@ def sample_selectivity_minmax(rng: random.Random, card_a: float, card_b: float) 
     return min(1.0, target / (card_a * card_b))
 
 
-def _edge_pairs(topology: Topology, n: int) -> list:
-    if topology is Topology.CHAIN:
-        return [(i, i + 1) for i in range(n - 1)]
-    if topology is Topology.CYCLE:
-        return [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
-    if topology is Topology.STAR:
-        return [(0, i) for i in range(1, n)]
-    raise ValueError(f"unknown topology {topology}")
-
-
 def generate_query(spec: GenSpec) -> QueryInstance:
     """Materialize a query instance, bit-exact reproducible per seed.
 
@@ -90,7 +80,7 @@ def generate_query(spec: GenSpec) -> QueryInstance:
     rng = random.Random(spec.seed)
     cards = tuple(sample_cardinality(rng) for _ in range(spec.n))
     edges = []
-    for a, b in _edge_pairs(spec.topology, spec.n):
+    for a, b in topology_edges(spec.topology, spec.n):
         if spec.selectivity_mode is SelectivityMode.STEINBRUNN:
             sel = sample_selectivity_steinbrunn(rng)
         else:

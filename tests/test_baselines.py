@@ -2,6 +2,7 @@
 
 import math
 import random
+from operator import le, lt
 
 import pytest
 
@@ -354,6 +355,48 @@ def test_sa_freeze_stops_early(seed):
     assert 11 <= len(calls) < 200
 
 
+def _peeled_ranks(costs):
+    """Ranks by the definition: peel the vectors no remaining vector
+    dominates, where a dominates b when a <= b in every metric and a < b
+    in at least one."""
+    n = len(costs)
+    dominated_by = [
+        [
+            j
+            for j in range(n)
+            if all(map(le, costs[j], costs[i])) and any(map(lt, costs[j], costs[i]))
+        ]
+        for i in range(n)
+    ]
+    ranks = [None] * n
+    rank = 0
+    while None in ranks:
+        front = [
+            i
+            for i in range(n)
+            if ranks[i] is None
+            and all(ranks[j] is not None for j in dominated_by[i])
+        ]
+        for i in front:
+            ranks[i] = rank
+        rank += 1
+    return ranks
+
+
+class TestNondominatedRanksDifferential:
+    def test_matches_naive_peel(self):
+        # a small value pool makes ties and duplicates common
+        rng = random.Random(2015)
+        pool = (1.0, 2.0, 3.0, 5.0, 8.0, math.inf)
+        for _ in range(2000):
+            width = rng.randint(1, 3)
+            costs = [
+                tuple(rng.choice(pool) for _ in range(width))
+                for _ in range(rng.randint(0, 60))
+            ]
+            assert nondominated_ranks(costs) == _peeled_ranks(costs), costs
+
+
 class TestNsga2Pieces:
     def test_nondominated_ranks_example(self):
         ranks = nondominated_ranks(
@@ -368,6 +411,23 @@ class TestNsga2Pieces:
 
     def test_single_point(self):
         assert list(nondominated_ranks([(5.0, 5.0)])) == [0]
+
+    def test_empty_input(self):
+        assert nondominated_ranks([]) == []
+
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            [(1.0, 2.0), (1.0,)],
+            [(1.0,), (1.0, 2.0, 3.0)],
+            [(1.0, math.nan)],
+            [(2.0, 1.0), (math.nan, 1.0)],
+        ],
+        ids=["ragged-shorter", "ragged-longer", "nan", "nan-second-row"],
+    )
+    def test_bad_input_rejected(self, costs):
+        with pytest.raises(ValueError):
+            nondominated_ranks(costs)
 
     def test_gene_bounds_structure(self):
         m = model_for(4, 0)

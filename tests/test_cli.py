@@ -1,5 +1,10 @@
 """Command line interface: parsing, exit codes, output formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from moqo.cli import main
@@ -340,3 +345,21 @@ class TestConfigFile:
         cfg.write_text("not an ini file at all [ [[")
         code, _, _ = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 1
+
+
+def test_import_loads_only_the_standard_library():
+    # a fresh interpreter, because pytest and its plugins import modules of
+    # their own; modules loaded before moqo (site hooks) are left out
+    code = (
+        "import sys; before = set(sys.modules); import moqo.cli; "
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "sys.exit(sorted(new - sys.stdlib_module_names - {'moqo'}) or None)"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

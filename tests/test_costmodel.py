@@ -18,6 +18,7 @@ from moqo.costmodel import (
     default_catalog,
     materializing_catalog,
     plan_cost,
+    topology_edges,
 )
 from moqo.optimizer import random_plan
 from moqo.querygen import GenSpec, generate_query
@@ -63,6 +64,25 @@ class TestQueryInstance:
                 cards=(1, 2, 3),
                 edges=((0, 2, 0.5), (1, 2, 0.5)),
                 topology=Topology.CHAIN,
+            )
+
+    def test_topology_edges_in_draw_order(self):
+        # the cycle's closing edge comes last, as (n - 1, 0)
+        assert topology_edges(Topology.CHAIN, 4) == [(0, 1), (1, 2), (2, 3)]
+        assert topology_edges(Topology.CYCLE, 4) == [(0, 1), (1, 2), (2, 3), (3, 0)]
+        assert topology_edges(Topology.STAR, 4) == [(0, 1), (0, 2), (0, 3)]
+        with pytest.raises(ValueError, match="at least 3"):
+            topology_edges(Topology.CYCLE, 2)
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_edges_match_in_either_endpoint_order(self, topology):
+        pairs = topology_edges(topology, 5)
+        for edges in (pairs, [(b, a) for a, b in reversed(pairs)]):
+            QueryInstance(
+                n=5,
+                cards=(1, 2, 3, 4, 5),
+                edges=tuple((a, b, 0.5) for a, b in edges),
+                topology=topology,
             )
 
     def test_selectivity_range_enforced(self):

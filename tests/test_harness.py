@@ -59,6 +59,12 @@ class TestEpsilonIndicator:
             ([(math.nan, 1.0)], [(2.0, 2.0)]),
             ([(1.0, 1.0), (2.0, -math.inf)], [(2.0, 2.0)]),
             ([], [(math.inf, 1.0)]),
+            ([(1.0, 1.0)], [(0.0, 1.0)]),
+            ([(0.0, 1.0)], [(0.0, 1.0)]),
+            ([(0.0, 1.0)], [(2.0, 2.0)]),
+            ([(-1.0, 1.0)], [(2.0, 2.0)]),
+            ([(1.0, 1.0)], [(2.0, -2.0)]),
+            ([], [(-1.0, 1.0)]),
         ],
     )
     def test_non_finite_rejected(self, cand, ref):
@@ -68,6 +74,18 @@ class TestEpsilonIndicator:
     def test_metric_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             epsilon_indicator([(1.0, 1.0)], [(1.0, 1.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "cand, ref",
+        [
+            ([(1.0, 1.0)], [(1.0, 1.0), (1.0,)]),
+            ([(1.0, 1.0), (1.0, 1.0, 1.0)], [(1.0, 1.0)]),
+        ],
+        ids=["ragged-reference", "ragged-candidate"],
+    )
+    def test_ragged_set_rejected(self, cand, ref):
+        with pytest.raises(ValueError, match="width"):
+            epsilon_indicator(cand, ref)
 
     def test_single_metric(self):
         assert epsilon_indicator([(3.0,)], [(2.0,)]) == 1.5
@@ -386,8 +404,20 @@ class TestClimbStats:
             {"seeds": ()},
             {"table_counts": ()},
             {"rmq_iterations": -2},
+            {"rmq_iterations": math.nan},
+            {"rmq_iterations": 2.5},
+            {"rmq_iterations": True},
         ],
-        ids=["metrics-0", "metrics-4", "no-seeds", "no-tables", "negative-iters"],
+        ids=[
+            "metrics-0",
+            "metrics-4",
+            "no-seeds",
+            "no-tables",
+            "negative-iters",
+            "nan-iters",
+            "float-iters",
+            "bool-iters",
+        ],
     )
     def test_config_validated(self, bad):
         with pytest.raises(ValueError):
