@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from operator import gt, itemgetter
 
-from .core import Archive, Plan, strictly_dominates
+from .core import Archive, Plan, check_int, strictly_dominates
 from .costmodel import CostModel
 from .optimizer import (
     Budget,
@@ -91,10 +91,12 @@ def dp_frontier(
     computes the exact frontier; alpha = inf keeps one plan per (subset,
     format), the first surviving candidate in enumeration order.
 
-    Returns None if the optional deadline expires before completion.
+    Returns None if the optional deadline expires before completion; the
+    deadline takes the values ``Budget(deadline_s=...)`` takes.
     """
     if not alpha >= 1.0:
         raise ValueError(f"approximation factor must be >= 1, got {alpha}")
+    budget = None if deadline_s is None else Budget(deadline_s=deadline_s)
     n = model.query.n
     per_level = (
         alpha ** (1.0 / max(1, n - 1)) if math.isfinite(alpha) else math.inf
@@ -108,15 +110,14 @@ def dp_frontier(
         fronts[1 << t] = lst
     for size in range(2, n + 1):
         for combo in itertools.combinations(range(n), size):
-            if deadline_s is not None and time.perf_counter() - start >= deadline_s:
-                return None
             bits = 0
             for t in combo:
                 bits |= 1 << t
             target: list = []
             sub = (bits - 1) & bits
+            # at least two tables, so this runs at least once
             while sub:
-                if deadline_s is not None and time.perf_counter() - start >= deadline_s:
+                if budget is not None and budget.exhausted(0, time.perf_counter() - start):
                     return None
                 offer_join_combinations(
                     model, target, fronts[sub], fronts[bits ^ sub], per_level
@@ -156,6 +157,17 @@ class SaConfig:
     start_temperature_scale: float = 2.0
     freeze_temperature: float = 1e-3
     freeze_stages: int = 4
+
+    def __post_init__(self) -> None:
+        check_int("neighbors_per_table", self.neighbors_per_table, 1)
+        check_int("freeze_stages", self.freeze_stages, 0)
+        # written as not-(lo < x < hi) so that nan fails too
+        if not 0.0 < self.cooling < 1.0:
+            raise ValueError(f"cooling must lie in (0, 1), got {self.cooling}")
+        if not 0.0 < self.start_temperature_scale < math.inf:
+            raise ValueError("start_temperature_scale must be finite and > 0")
+        if not 0.0 <= self.freeze_temperature < math.inf:
+            raise ValueError("freeze_temperature must be finite and >= 0")
 
 
 @dataclass
@@ -277,10 +289,7 @@ def run_2p(
     """Two-phase optimization: a short iterative-improvement burst, then
     annealing from the archive plan with the lowest normalized cost sum
     (per-metric costs divided by the archive minima)."""
-    if improvement_iterations < 1:
-        raise ValueError(
-            f"improvement_iterations must be >= 1, got {improvement_iterations}"
-        )
+    check_int("improvement_iterations", improvement_iterations, 1)
     rng = random.Random(seed)
     archive = Archive()
     state = None
@@ -434,6 +443,11 @@ def run_nsga2(
     crowding); variation is single-point crossover plus per-gene uniform
     resampling at rate 1 / gene count.
     """
+    check_int("population_size", population_size, 1)
+    if not 0.0 <= crossover_probability <= 1.0:
+        raise ValueError(
+            f"crossover_probability must lie in [0, 1], got {crossover_probability}"
+        )
     rng = random.Random(seed)
     archive = Archive()
     bounds = gene_bounds(model)

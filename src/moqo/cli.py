@@ -15,8 +15,8 @@ import argparse
 import configparser
 import sys
 
-from .baselines import dp_frontier, exhaustive_frontier
-from .costmodel import CostModel, Topology
+from .baselines import MAX_EXHAUSTIVE_TABLES, dp_frontier, exhaustive_frontier
+from .costmodel import N_METRICS, CostModel, Topology
 from .harness import (
     BASE_ALGORITHMS,
     SAMPLES_HEADER,
@@ -29,6 +29,10 @@ from .harness import (
     sample_row,
 )
 from .querygen import GenSpec, SelectivityMode, generate_query
+
+
+# the table count of ``moqo run`` when neither a flag nor the config sets it
+_RUN_TABLES = 10
 
 
 class _ConfigError(Exception):
@@ -44,13 +48,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _split(raw: str) -> list:
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+
+
 def _parse_seeds(raw: str) -> tuple:
     """Accept comma-separated ints and inclusive A-B ranges."""
     seeds: list = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in _split(raw):
         sep = token.find("-", 1)
         if sep != -1:
             try:
@@ -82,18 +87,19 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--topology",
         default=None,
-        help="join graph shape: chain, cycle, or star (default chain)",
+        help=f"join graph shape: chain, cycle, or star (default {GenSpec.topology.value})",
     )
     parser.add_argument(
         "--selectivity",
         default=None,
-        help="edge selectivity sampler: steinbrunn or minmax (default steinbrunn)",
+        help="edge selectivity sampler: steinbrunn or minmax "
+        f"(default {GenSpec.selectivity_mode.value})",
     )
     parser.add_argument(
         "--metrics",
         type=int,
         default=None,
-        help="number of cost metrics to optimize, 1-3 (default 3)",
+        help=f"number of cost metrics to optimize, 1-{N_METRICS} (default {N_METRICS})",
     )
 
 
@@ -103,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a benchmark experiment")
     run.add_argument("--config", default=None, help="INI config file; flags override it")
-    run.add_argument("--tables", type=int, default=None, help="tables per query")
+    run.add_argument(
+        "--tables", type=int, default=None, help=f"tables per query (default {_RUN_TABLES})"
+    )
     _add_instance_flags(run)
     run.add_argument(
         "--algos",
@@ -130,7 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="climb path and Pareto-set statistics"
     )
     stats.add_argument(
-        "--tables", default=None, help="comma list of table counts (default 10,25,50,100)"
+        "--tables",
+        default=None,
+        help="comma list of table counts (default "
+        f"{','.join(map(str, ClimbStatsConfig.table_counts))})",
     )
     _add_instance_flags(stats)
     stats.add_argument("--seeds", default=None, help="comma list and/or A-B ranges")
@@ -146,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle.add_argument("--tables", type=int, required=True, help="tables per query")
     _add_instance_flags(oracle)
-    oracle.add_argument("--seed", type=int, default=0, help="instance seed")
+    oracle.add_argument(
+        "--seed", type=int, default=None, help=f"instance seed (default {GenSpec.seed})"
+    )
     oracle.add_argument(
         "--alpha",
         type=float,
@@ -199,50 +212,52 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _merged(args: argparse.Namespace, key: str, file_cfg: dict, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _given(args: argparse.Namespace, keys) -> dict:
+    """The options among ``keys`` that the command line sets."""
+    return {k: v for k, v in vars(args).items() if k in keys and v is not None}
+
+
+# option -> (library field, parser or None to pass the value as is), for
+# the options not named and typed as their field; an option left unset is
+# not passed, so its default lives in the library alone
+_FIELDS = {
+    "topology": ("topology", lambda raw: _enum_value(Topology, raw, "topology")),
+    "selectivity": (
+        "selectivity_mode",
+        lambda raw: _enum_value(SelectivityMode, raw, "selectivity mode"),
+    ),
+    "metrics": ("metrics_count", None),
+    "algos": ("algorithms", lambda raw: tuple(_split(raw))),
+    "sample_ms": ("sample_interval", None),
+    "seeds": ("seeds", _parse_seeds),
+    "reference": (
+        "reference_mode",
+        lambda raw: _enum_value(ReferenceMode, raw, "reference mode"),
+    ),
+    "out": ("output_path", None),
+    "rmq_iters": ("rmq_iterations", None),
+}
+
+
+def _fields(values: dict) -> dict:
+    """Library keyword arguments for the options given, parsed."""
+    out = {}
+    for key, value in values.items():
+        name, parse = _FIELDS.get(key, (key, None))
+        out[name] = value if parse is None else parse(value)
+    return out
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    budget_ms = _merged(args, "budget_ms", file_cfg, None)
-    budget_iters = _merged(args, "budget_iters", file_cfg, None)
-    if budget_ms is None and budget_iters is None:
-        budget_ms = 3000.0
-    algos_raw = _merged(args, "algos", file_cfg, ",".join(BASE_ALGORITHMS))
-    seeds_raw = _merged(args, "seeds", file_cfg, "0-19")
+    values = _load_config_file(args.config) if args.config else {}
+    values.update(_given(args, _CONFIG_KEYS))
+    # run's own rules: a table count default, and no time budget when
+    # only an iteration budget is given
+    n = values.pop("tables", _RUN_TABLES)
+    if "budget_iters" in values and "budget_ms" not in values:
+        values["budget_ms"] = None
     try:
-        cfg = ExperimentConfig(
-            n=_merged(args, "tables", file_cfg, 10),
-            topology=_enum_value(
-                Topology, _merged(args, "topology", file_cfg, "chain"), "topology"
-            ),
-            selectivity_mode=_enum_value(
-                SelectivityMode,
-                _merged(args, "selectivity", file_cfg, "steinbrunn"),
-                "selectivity mode",
-            ),
-            metrics_count=_merged(args, "metrics", file_cfg, 3),
-            algorithms=tuple(
-                tok.strip() for tok in str(algos_raw).split(",") if tok.strip()
-            ),
-            budget_ms=budget_ms,
-            budget_iters=budget_iters,
-            sample_interval=_merged(args, "sample_ms", file_cfg, 100.0),
-            seeds=_parse_seeds(str(seeds_raw)),
-            reference_mode=_enum_value(
-                ReferenceMode,
-                _merged(args, "reference", file_cfg, "union"),
-                "reference mode",
-            ),
-            output_path=_merged(args, "out", file_cfg, None),
-            catalog=file_cfg.get("catalog"),
-        )
+        cfg = ExperimentConfig(n=n, **_fields(values))
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     samples, aggregates = run_experiment(cfg)
@@ -256,23 +271,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    raw_tables = args.tables or "10,25,50,100"
+    keys = ("topology", "selectivity", "metrics", "seeds", "rmq_iters")
+    kwargs = _fields(_given(args, keys))
+    if args.tables is not None:
+        try:
+            kwargs["table_counts"] = tuple(int(tok) for tok in _split(args.tables))
+        except ValueError as exc:
+            raise _ConfigError(f"bad table counts {args.tables!r}") from exc
     try:
-        table_counts = tuple(int(tok) for tok in raw_tables.split(",") if tok.strip())
-    except ValueError as exc:
-        raise _ConfigError(f"bad table counts {raw_tables!r}") from exc
-    try:
-        cfg = ClimbStatsConfig(
-            table_counts=table_counts,
-            topology=_enum_value(Topology, args.topology or "chain", "topology"),
-            selectivity_mode=_enum_value(
-                SelectivityMode, args.selectivity or "steinbrunn", "selectivity mode"
-            ),
-            metrics_count=args.metrics if args.metrics is not None else 3,
-            seeds=_parse_seeds(args.seeds) if args.seeds else tuple(range(20)),
-            rmq_iterations=args.rmq_iters if args.rmq_iters is not None else 0,
-        )
-        rows = climb_stats(cfg)
+        rows = climb_stats(ClimbStatsConfig(**kwargs))
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     print("n,median_path_length,median_pareto_size")
@@ -284,21 +291,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
-        spec = GenSpec(
-            n=args.tables,
-            topology=_enum_value(Topology, args.topology or "chain", "topology"),
-            selectivity_mode=_enum_value(
-                SelectivityMode, args.selectivity or "steinbrunn", "selectivity mode"
-            ),
-            seed=args.seed,
-        )
-        metrics = tuple(range(args.metrics)) if args.metrics is not None else (0, 1, 2)
-        model = CostModel(generate_query(spec), None, metrics)
+        instance = _fields(_given(args, ("topology", "selectivity", "seed")))
+        spec = GenSpec(n=args.tables, **instance)
+        metrics = {} if args.metrics is None else {"metrics": range(args.metrics)}
+        model = CostModel(generate_query(spec), **metrics)
         if args.alpha is not None and not args.alpha >= 1.0:
             raise ValueError("alpha must be >= 1")
-        if args.alpha is None and args.tables > 7:
+        if args.alpha is None and args.tables > MAX_EXHAUSTIVE_TABLES:
             raise ValueError(
-                "exhaustive oracle supports at most 7 tables; pass --alpha to use DP"
+                f"exhaustive oracle supports at most {MAX_EXHAUSTIVE_TABLES} tables; "
+                "pass --alpha to use DP"
             )
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
@@ -307,7 +309,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         archive = dp_frontier(model, args.alpha)
     costs = sorted(archive.costs())
-    print(",".join(f"metric{k}" for k in metrics))
+    print(",".join(f"metric{k}" for k in model.metrics))
     for cost in costs:
         print(",".join(repr(c) for c in cost))
     return 0

@@ -33,18 +33,15 @@ def _check_lengths(c1: CostVector, c2: CostVector) -> None:
         raise ValueError(f"cost vector length mismatch: {len(c1)} vs {len(c2)}")
 
 
-def weakly_dominates(c1: CostVector, c2: CostVector) -> bool:
-    """True iff c1[k] <= c2[k] for every metric k. Reflexive."""
-    if len(c1) != len(c2):
-        _check_lengths(c1, c2)
-    for a, b in zip(c1, c2):
-        if a > b:
-            return False
-    return True
+def check_int(name: str, value, low: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int (not a bool) >= ``low``."""
+    if not (type(value) is int and value >= low):
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 def strictly_dominates(c1: CostVector, c2: CostVector) -> bool:
-    """True iff c1 weakly dominates c2 and the vectors differ somewhere."""
+    """True iff c1[k] <= c2[k] for every metric k, with c1[k] < c2[k]
+    for at least one."""
     if len(c1) != len(c2):
         _check_lengths(c1, c2)
     strict = False
@@ -56,35 +53,17 @@ def strictly_dominates(c1: CostVector, c2: CostVector) -> bool:
     return strict
 
 
-def approx_dominates(c1: CostVector, c2: CostVector, alpha: float) -> bool:
-    """True iff c1[k] <= alpha * c2[k] for every metric k.
-
-    alpha = 1 reduces to weak dominance; larger alpha relaxes the
-    comparison. Values below 1 and nan are rejected.
-    """
-    # not (alpha >= 1) rather than alpha < 1, so that nan fails too
-    if not alpha >= 1.0:
-        raise ValueError(f"approximation factor must be >= 1, got {alpha}")
-    if len(c1) != len(c2):
-        _check_lengths(c1, c2)
-    for a, b in zip(c1, c2):
-        if a > alpha * b:
-            return False
-    return True
-
-
 def any_within(entries: list, fmt: OutputFormat, limit: Sequence) -> bool:
     """True iff some entry of format ``fmt`` costs at most ``limit`` in
-    every metric, i.e. ``weakly_dominates(entry.cost, limit)``: one scan
-    of the list instead of one call per entry.
+    every metric (``entry.cost[k] <= limit[k]`` for every k), in one scan
+    of the list.
 
-    Pass the newcomer's cost for weak dominance, or ``alpha * c`` per
-    metric ``c`` for ``approx_dominates(entry.cost, cost, alpha)``, which
-    computes that same product. Raises ``ValueError`` on a same-format
-    entry of another length.
+    Pass the newcomer's cost to test whether an entry weakly dominates
+    it, or ``alpha * c`` per metric ``c`` to test whether an entry
+    alpha-approximately dominates it. Raises ``ValueError`` on a
+    same-format entry of another length.
     """
-    # every test is a > b, never a <= b, so a nan never blocks dominance,
-    # exactly as in weakly_dominates
+    # every test is a > b, never a <= b, so a nan never blocks dominance
     n = len(limit)
     if n == 3:
         # all three metrics, the default: unrolled, and the unpacking
@@ -108,7 +87,8 @@ def any_within(entries: list, fmt: OutputFormat, limit: Sequence) -> bool:
 
 def drop_dominated(entries: list, fmt: OutputFormat, cost: CostVector) -> None:
     """Remove from the list, in place, every entry of format ``fmt`` that
-    ``cost`` weakly dominates; the rest keep their order. Raises
+    costs at least ``cost`` in every metric (``cost[k] <= entry.cost[k]``
+    for every k); the rest keep their order. Raises
     ``ValueError`` on a same-format entry of another length."""
     n = len(cost)
     doomed = []
@@ -182,17 +162,6 @@ class Plan:
     @property
     def is_join(self) -> bool:
         return self.outer is not None
-
-    def nodes(self) -> Iterator[Plan]:
-        """Yield all nodes of the tree, root first."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.outer is not None:
-                stack.append(node.outer)
-                assert node.inner is not None
-                stack.append(node.inner)
 
     def __repr__(self) -> str:
         if not self.is_join:

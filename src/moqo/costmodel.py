@@ -175,20 +175,6 @@ def materializing_catalog() -> OperatorCatalog:
     return OperatorCatalog(scan_ops=base.scan_ops, join_ops=joins)
 
 
-def _scan_local3(op: ScanOp, card: float) -> tuple:
-    return (op.time_per_row * card, op.buffer, op.disc)
-
-
-def _join_local3(op: JoinOp, out_o: float, out_i: float, out: float) -> tuple:
-    if op.kind == "nested_loop":
-        return (out_o * out_i * op.loop_factor + out, 2.0, 0.0)
-    if op.kind == "hash":
-        return (out_o + out_i + out, out_o, 0.0)
-    # sort_merge
-    time = out_o * math.log2(1.0 + out_o) + out_i * math.log2(1.0 + out_i) + out
-    return (time, op.buffer_pages, out_o + out_i)
-
-
 class CostModel:
     """Binds a query, an operator catalog and an active metric subset.
 
@@ -237,18 +223,10 @@ class CostModel:
     def n_metrics(self) -> int:
         return len(self.metrics)
 
-    def _project_floor(self, local3: tuple) -> CostVector:
-        return tuple([local3[k] if local3[k] > 1.0 else 1.0 for k in self.metrics])
-
     def scan_local_cost(self, scan_op: int, card: float) -> CostVector:
-        return self._project_floor(_scan_local3(self.catalog.scan_ops[scan_op], card))
-
-    def join_local_cost(
-        self, join_op: int, out_o: float, out_i: float, out: float
-    ) -> CostVector:
-        return self._project_floor(
-            _join_local3(self.catalog.join_ops[join_op], out_o, out_i, out)
-        )
+        op = self.catalog.scan_ops[scan_op]
+        local3 = (op.time_per_row * card, op.buffer, op.disc)
+        return tuple([local3[k] if local3[k] > 1.0 else 1.0 for k in self.metrics])
 
     def cross_selectivity(self, lbits: int, rbits: int) -> float:
         """Product of the selectivities of the edges crossing between two
@@ -327,13 +305,14 @@ class CostModel:
 
         Overlapping inputs raise ``ValueError``, as ``Plan`` does.
         """
-        # hand-inlined copy of _join_local3 (the other spelling of the
-        # formula, used by plan_cost) for speed; both must evaluate in the
-        # same order, which test_plan_cost_is_bit_exact,
-        # test_plan_cost_projected_metrics, test_costs_bit_exact_vs_scalar_join
-        # and TestClimbDifferential hold bit for bit. The floors spell
-        # max(1.0, x) as a conditional, which gives the same float
-        # (ties and nan included) at a tenth of the cost.
+        # The formula, inlined for speed: per operator kind the local
+        # (time, buffer, disc) below, each floored at 1, then
+        # (local + outer total) + inner total per metric. The tests hold
+        # it bit for bit against a plain spelling in the same order
+        # (test_plan_cost_is_bit_exact, test_plan_cost_projected_metrics,
+        # test_costs_bit_exact_vs_scalar_join, TestClimbDifferential).
+        # The floors spell max(1.0, x) as a conditional, which gives the
+        # same float (ties and nan included) at a tenth of the cost.
         cs = self._cross_sel.get((obits, ibits))
         if cs is None:
             # overlapping sets are never memoized, so they land here
@@ -378,23 +357,3 @@ class CostModel:
             rel, cost, out, self._join_specs[join_op][1], -1, -1, outer, inner, join_op
         )
 
-
-def plan_cost(model: CostModel, plan: Plan) -> CostVector:
-    """Recompute a plan's total cost from scratch.
-
-    Mirrors the construction-time evaluation order, so the result is
-    bit-identical to the cached ``plan.cost``.
-    """
-    if not plan.is_join:
-        return model.scan_local_cost(plan.scan_op, float(model.query.cards[plan.table]))
-    outer_cost = plan_cost(model, plan.outer)
-    inner_cost = plan_cost(model, plan.inner)
-    out = (
-        plan.outer.out_card
-        * plan.inner.out_card
-        * model.cross_selectivity(plan.outer.rel, plan.inner.rel)
-    )
-    local = model.join_local_cost(
-        plan.join_op, plan.outer.out_card, plan.inner.out_card, out
-    )
-    return tuple(l + a + b for l, a, b in zip(local, outer_cost, inner_cost))

@@ -18,7 +18,7 @@ from operator import truediv
 from typing import Callable, Sequence
 
 from .baselines import dp_frontier, run_2p, run_ii, run_nsga2, run_sa
-from .core import Archive
+from .core import Archive, check_int
 from .costmodel import (
     N_METRICS,
     CostModel,
@@ -89,7 +89,7 @@ class ExperimentConfig:
     n: int
     topology: Topology = Topology.CHAIN
     selectivity_mode: SelectivityMode = SelectivityMode.STEINBRUNN
-    metrics_count: int = 3
+    metrics_count: int = N_METRICS
     algorithms: tuple = BASE_ALGORITHMS
     budget_ms: float | None = 3000.0
     budget_iters: int | None = None
@@ -101,14 +101,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if not 1 <= self.metrics_count <= N_METRICS:
-            raise ValueError(f"metric count {self.metrics_count} outside [1, 3]")
+            raise ValueError(f"metric count {self.metrics_count} outside [1, {N_METRICS}]")
         if (self.budget_ms is None) == (self.budget_iters is None):
             raise ValueError("set exactly one of budget_ms and budget_iters")
         if self.budget_ms is not None and not 0 <= self.budget_ms < math.inf:
             raise ValueError("budget_ms must be finite and >= 0")
-        iters = self.budget_iters
-        if iters is not None and not (type(iters) is int and iters >= 0):
-            raise ValueError(f"budget_iters must be an int >= 0, got {iters!r}")
+        if self.budget_iters is not None:
+            check_int("budget_iters", self.budget_iters, 0)
         if not 0 < self.sample_interval < math.inf:
             raise ValueError("sample_interval must be finite and > 0")
         if not self.seeds:
@@ -399,21 +398,19 @@ class ClimbStatsConfig:
     table_counts: tuple = (10, 25, 50, 100)
     topology: Topology = Topology.CHAIN
     selectivity_mode: SelectivityMode = SelectivityMode.STEINBRUNN
-    metrics_count: int = 3
+    metrics_count: int = N_METRICS
     seeds: tuple = tuple(range(20))
     rmq_iterations: int = 0
     catalog: OperatorCatalog | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.metrics_count <= N_METRICS:
-            raise ValueError(f"metric count {self.metrics_count} outside [1, 3]")
+            raise ValueError(f"metric count {self.metrics_count} outside [1, {N_METRICS}]")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if not self.table_counts:
             raise ValueError("need at least one table count")
-        iters = self.rmq_iterations
-        if not (type(iters) is int and iters >= 0):
-            raise ValueError(f"rmq_iterations must be an int >= 0, got {iters!r}")
+        check_int("rmq_iterations", self.rmq_iterations, 0)
 
 
 def climb_stats(cfg: ClimbStatsConfig) -> list:

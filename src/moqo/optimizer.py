@@ -21,6 +21,7 @@ from .core import (
     Archive,
     Plan,
     any_within,
+    check_int,
     drop_dominated,
     strictly_dominates,
 )
@@ -150,7 +151,7 @@ def mutations(model: CostModel, plan: Plan) -> list:
     return [plan] + [build_move(model, move) for move in moves]
 
 
-def pareto_step(model: CostModel, plan: Plan) -> list:
+def pareto_step(model: CostModel, plan: Plan, memo: dict) -> list:
     """One parallel improvement pass over the whole tree.
 
     Sub-plans are improved recursively; every pair of improved sub-plans
@@ -160,13 +161,11 @@ def pareto_step(model: CostModel, plan: Plan) -> list:
     dominating it, so the result never branches and the identity plan
     survives at a local optimum. Result order follows first appearance
     of each format.
+
+    ``memo`` maps nodes, by identity, to their step results; a climb
+    passes one memo through all its rounds, so subtrees shared between
+    successive adoptions reuse their results. Pass ``{}`` for one step.
     """
-    return _pareto_step_memo(model, plan, {})
-
-
-def _pareto_step_memo(model: CostModel, plan: Plan, memo: dict) -> list:
-    # memo is keyed by node identity; subtrees shared between successive
-    # climb adoptions reuse their step results unchanged
     got = memo.get(plan)
     if got is not None:
         return got
@@ -207,8 +206,8 @@ def _priced_candidates(model: CostModel, plan: Plan, memo: dict) -> list:
     outer = plan.outer
     inner = plan.inner
     root_op = plan.join_op
-    outs = _pareto_step_memo(model, outer, memo)
-    ins = _pareto_step_memo(model, inner, memo)
+    outs = pareto_step(model, outer, memo)
+    ins = pareto_step(model, inner, memo)
     out = []
     for o in outs:
         for i in ins:
@@ -257,7 +256,7 @@ def pareto_climb(model: CostModel, plan: Plan) -> ClimbResult:
     memo: dict = {}
     while True:
         adopted = None
-        for cand in _pareto_step_memo(model, plan, memo):
+        for cand in pareto_step(model, plan, memo):
             if strictly_dominates(cand.cost, plan.cost):
                 adopted = cand
                 break
@@ -296,11 +295,10 @@ class PlanCache:
     used at insertion time.
     """
 
-    __slots__ = ("_lists", "_count")
+    __slots__ = ("_lists",)
 
     def __init__(self) -> None:
         self._lists: dict = {}
-        self._count = 0
 
     def frontier(self, rel: int) -> list:
         lst = self._lists.get(rel)
@@ -310,15 +308,12 @@ class PlanCache:
         return lst
 
     def offer(self, rel: int, plan: Plan, alpha: float) -> None:
-        lst = self.frontier(rel)
-        before = len(lst)
-        prune_approx(lst, plan, alpha)
-        self._count += len(lst) - before
+        prune_approx(self.frontier(rel), plan, alpha)
 
     def offer_joins(self, model: CostModel, plan: Plan, alpha: float) -> None:
         """Offer every combination of the cached frontiers of a join
         plan's two input table sets to the frontier of its table set."""
-        self._count += offer_join_combinations(
+        offer_join_combinations(
             model,
             self.frontier(plan.rel),
             self.frontier(plan.outer.rel),
@@ -330,7 +325,7 @@ class PlanCache:
         sizes = [len(lst) for lst in self._lists.values()]
         return {
             "keys": len(sizes),
-            "plans": self._count,
+            "plans": sum(sizes),
             "max_list": max(sizes, default=0),
         }
 
@@ -380,8 +375,6 @@ def approximate_frontiers(
     orders) with all join operators. Offers prune at the iteration's
     precision factor, floored at 1 once the schedule drops below it.
     """
-    if iteration < 1:
-        raise ValueError(f"iteration counter must be >= 1, got {iteration}")
     alpha = max(1.0, alpha_schedule(iteration))
     _approximate_rec(model, plan, cache, alpha)
     return cache
@@ -409,9 +402,8 @@ class Budget:
     def __post_init__(self) -> None:
         if self.max_iterations is None and self.deadline_s in (None, math.inf):
             raise ValueError("budget needs an iteration cap or a finite deadline")
-        cap = self.max_iterations
-        if cap is not None and not (type(cap) is int and cap >= 0):
-            raise ValueError(f"iteration cap must be an int >= 0, got {cap!r}")
+        if self.max_iterations is not None:
+            check_int("max_iterations", self.max_iterations, 0)
         # written as not-(x >= 0) so that nan fails too
         if self.deadline_s is not None and not self.deadline_s >= 0:
             raise ValueError("deadline must be >= 0")

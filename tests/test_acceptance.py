@@ -20,13 +20,7 @@ from moqo.baselines import (
     run_sa,
 )
 from moqo.cli import main as cli_main
-from moqo.core import (
-    Archive,
-    OutputFormat,
-    Plan,
-    approx_dominates,
-    weakly_dominates,
-)
+from moqo.core import Archive, OutputFormat, Plan
 from moqo.costmodel import CostModel, Topology
 from moqo.harness import (
     ClimbStatsConfig,
@@ -44,6 +38,7 @@ from moqo.optimizer import (
     rmq_optimize,
 )
 from moqo.querygen import GenSpec, SelectivityMode, generate_query
+from reference import approx_dominates, plan_nodes, weakly_dominates
 
 
 def verdict(number, ok, detail):
@@ -314,7 +309,7 @@ class TestCriterion7:
         failures = 0
         while checked < 10_000:
             p = random_plan(m, rng)
-            nodes = list(p.nodes())
+            nodes = list(plan_nodes(p))
             target = nodes[rng.randrange(len(nodes))]
             tables = [t for t in range(m.query.n) if target.rel >> t & 1]
             replacement = _random_tree(m, tables, rng)

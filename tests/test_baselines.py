@@ -18,7 +18,7 @@ from moqo.baselines import (
     run_nsga2,
     run_sa,
 )
-from moqo.core import Archive, OutputFormat, weakly_dominates
+from moqo.core import Archive, OutputFormat
 from moqo.costmodel import (
     CostModel,
     JoinOp,
@@ -30,6 +30,7 @@ from moqo.costmodel import (
 from moqo.harness import epsilon_indicator
 from moqo.optimizer import Budget, rmq_optimize
 from moqo.querygen import GenSpec, SelectivityMode, generate_query
+from reference import plan_nodes, weakly_dominates
 
 
 def model_for(n, seed, topology=Topology.CHAIN, metrics=(0, 1, 2), mode=None):
@@ -182,6 +183,14 @@ class TestDpFrontier:
     def test_deadline_abort_returns_none(self):
         m = model_for(12, 0)
         assert dp_frontier(m, 1.0, deadline_s=0.02) is None
+
+    @pytest.mark.parametrize("deadline", [math.nan, -1.0], ids=["nan", "negative"])
+    def test_bad_deadline_rejected(self, deadline):
+        # the same rule as Budget(deadline_s=...)
+        with pytest.raises(ValueError):
+            Budget(deadline_s=deadline)
+        with pytest.raises(ValueError):
+            dp_frontier(model_for(3, 0), 1.0, deadline_s=deadline)
 
     def test_no_deadline_completes_large_alpha(self):
         m = model_for(7, 0)
@@ -442,7 +451,7 @@ class TestNsga2Pieces:
         for _ in range(200):
             genes = [rng.randint(0, hi) for hi in bounds]
             plan = decode_genes(m, genes)
-            leaves = sorted(n.table for n in plan.nodes() if not n.is_join)
+            leaves = sorted(n.table for n in plan_nodes(plan) if not n.is_join)
             assert leaves == list(range(6))
             assert plan.rel == m.full_set
 
@@ -506,3 +515,39 @@ class TestRunNsga2:
         assert epsilon_indicator(longer.costs(), exact) <= epsilon_indicator(
             short.costs(), exact
         )
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, b: run_nsga2(m, b, population_size=0),
+        lambda m, b: run_nsga2(m, b, population_size=2.0),
+        lambda m, b: run_nsga2(m, b, crossover_probability=math.nan),
+        lambda m, b: run_nsga2(m, b, crossover_probability=1.5),
+        lambda m, b: run_sa(m, b, config=SaConfig(cooling=math.nan)),
+        lambda m, b: run_sa(m, b, config=SaConfig(cooling=1.0)),
+        lambda m, b: run_sa(m, b, config=SaConfig(neighbors_per_table=0)),
+        lambda m, b: run_sa(m, b, config=SaConfig(start_temperature_scale=0.0)),
+        lambda m, b: run_sa(m, b, config=SaConfig(freeze_temperature=math.nan)),
+        lambda m, b: run_sa(m, b, config=SaConfig(freeze_stages=-1)),
+        lambda m, b: run_2p(m, b, improvement_iterations=2.5),
+        lambda m, b: run_2p(m, b, improvement_iterations=True),
+    ],
+    ids=[
+        "nsga2-population-0",
+        "nsga2-population-float",
+        "nsga2-crossover-nan",
+        "nsga2-crossover-above-1",
+        "sa-cooling-nan",
+        "sa-cooling-1",
+        "sa-neighbors-0",
+        "sa-start-temperature-0",
+        "sa-freeze-temperature-nan",
+        "sa-freeze-stages-negative",
+        "2p-improvement-float",
+        "2p-improvement-bool",
+    ],
+)
+def test_bad_runner_settings_rejected(run):
+    with pytest.raises(ValueError):
+        run(model_for(4, 0), Budget(max_iterations=2))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from moqo.cli import main
+from moqo.harness import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +246,30 @@ class TestRun:
         ]
         assert len(printed) > 1
         assert printed == written
+
+    def test_unset_options_keep_library_defaults(self, tmp_path, capsys):
+        # only the flags given reach ExperimentConfig; the rest, and the
+        # 10-table default of run, show in the CSV's resolved config
+        out_path = tmp_path / "r.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "run",
+            "--algos", "ii",
+            "--budget-iters", "2",
+            "--seeds", "0",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        want = ExperimentConfig(
+            n=10,
+            algorithms=("ii",),
+            budget_ms=None,
+            budget_iters=2,
+            seeds=(0,),
+            output_path=str(out_path),
+        )
+        lines = out_path.read_text().splitlines()
+        assert [line[2:] for line in lines if line.startswith("# ")] == want.resolved_lines()
 
     def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -10,9 +10,7 @@ import pytest
 from moqo.core import (
     Archive,
     OutputFormat,
-    approx_dominates,
     strictly_dominates,
-    weakly_dominates,
 )
 from moqo.costmodel import (
     CostModel,
@@ -23,7 +21,6 @@ from moqo.costmodel import (
     Topology,
     default_catalog,
     materializing_catalog,
-    plan_cost,
 )
 from moqo.optimizer import (
     Budget,
@@ -41,6 +38,7 @@ from moqo.optimizer import (
     root_moves,
 )
 from moqo.querygen import GenSpec, generate_query
+from reference import approx_dominates, plan_cost, plan_nodes, weakly_dominates
 
 
 def single_op_catalog():
@@ -108,7 +106,7 @@ class TestRandomPlan:
         rng = random.Random(3)
         for _ in range(200):
             p = random_plan(m, rng)
-            leaves = [n.table for n in p.nodes() if not n.is_join]
+            leaves = [n.table for n in plan_nodes(p) if not n.is_join]
             assert sorted(leaves) == list(range(7))
             assert p.rel == m.full_set
 
@@ -446,7 +444,7 @@ def _climbed_join_inputs(model, seed):
         approximate_frontiers(model, plan, fine, 10**4)
         approximate_frontiers(model, plan, coarse, 1)
     for plan in climbed[:3]:
-        for node in plan.nodes():
+        for node in plan_nodes(plan):
             if not node.is_join:
                 continue
             start = []
@@ -529,7 +527,7 @@ class TestParetoStep:
         m = CostModel(query(5))
         for _ in range(100):
             p = random_plan(m, rng)
-            out = pareto_step(m, p)
+            out = pareto_step(m, p, {})
             assert len(out) == 1  # all default operators are pipelined
             assert not strictly_dominates(p.cost, out[0].cost)
 
@@ -537,28 +535,26 @@ class TestParetoStep:
         rng = random.Random(42)
         m = CostModel(query(4))
         p = pareto_climb(m, random_plan(m, rng)).plan
-        out = pareto_step(m, p)
+        out = pareto_step(m, p, {})
         assert out[0] is p
 
     def test_one_plan_per_format(self):
         rng = random.Random(43)
         m = CostModel(query(4), materializing_catalog())
         for _ in range(50):
-            out = pareto_step(m, random_plan(m, rng))
+            out = pareto_step(m, random_plan(m, rng), {})
             fmts = [p.fmt for p in out]
             assert len(fmts) == len(set(fmts))
             assert 1 <= len(out) <= 2
 
     def test_memo_matches_fresh_runs(self):
-        from moqo.optimizer import _pareto_step_memo
-
         rng = random.Random(44)
         m = CostModel(query(5))
         memo = {}
         plan = random_plan(m, rng)
         for _ in range(6):
-            shared = _pareto_step_memo(m, plan, memo)
-            fresh = pareto_step(m, plan)
+            shared = pareto_step(m, plan, memo)
+            fresh = pareto_step(m, plan, {})
             assert [p.cost for p in shared] == [p.cost for p in fresh]
             adopted = None
             for cand in shared:
@@ -613,7 +609,7 @@ class TestParetoClimb:
         m = CostModel(query(4), metrics=(0,))
         for _ in range(20):
             res = pareto_climb(m, random_plan(m, rng))
-            for cand in pareto_step(m, res.plan):
+            for cand in pareto_step(m, res.plan, {}):
                 assert cand.cost[0] >= res.plan.cost[0]
 
 
@@ -631,6 +627,17 @@ class TestPlanCache:
         cache.offer(rel, make_plan((4.0, 1.0), table=0), 1.0)
         assert cache.stats()["plans"] == 2
         assert cache.stats() == {"keys": 1, "plans": 2, "max_list": 2}
+
+    def test_plan_count_is_summed_list_lengths(self):
+        # one cache shared by two runs, as a caller may pass it
+        m = CostModel(query(8, topology=Topology.STAR))
+        cache = PlanCache()
+        for seed in (0, 1):
+            rmq_optimize(m, Budget(max_iterations=30), seed=seed, cache=cache)
+            plans = cache.stats()["plans"]
+            # every table set of the query, through the public lookup
+            sizes = [len(cache.frontier(rel)) for rel in range(1, m.full_set + 1)]
+            assert plans == sum(sizes) > 0
 
 
 class TestApproximateFrontiers:
@@ -659,7 +666,7 @@ class TestApproximateFrontiers:
         plan = pareto_climb(m, random_plan(m, rng)).plan
         cache = PlanCache()
         approximate_frontiers(m, plan, cache, 10**6)
-        for node in plan.nodes():
+        for node in plan_nodes(plan):
             assert cache.frontier(node.rel), f"empty frontier for {node.rel:#b}"
 
     def test_join_frontier_crosses_cached_inputs(self):
@@ -691,7 +698,7 @@ class TestApproximateFrontiers:
         cache = PlanCache()
         approximate_frontiers(m, plan, cache, 500)
         # refinement touches exactly the frontiers of the plan's nodes
-        rels = {node.rel for node in plan.nodes()}
+        rels = {node.rel for node in plan_nodes(plan)}
         assert cache.stats()["keys"] == len(rels)
         snapshot = {rel: [id(p) for p in cache.frontier(rel)] for rel in rels}
         approximate_frontiers(m, plan, cache, 500)
@@ -901,14 +908,14 @@ class TestClimbDifferential:
         for seed, m in _climb_models(n, topology):
             rng = random.Random(seed)
             start = random_plan(m, rng)
-            assert _step_view(pareto_step(m, start)) == _step_view(
+            assert _step_view(pareto_step(m, start, {})) == _step_view(
                 _reference_step(m, start, {})
             )
             climbed = pareto_climb(m, start)
             want_plan, want_length = _reference_climb(m, start)
             assert climbed.path_length == want_length
             assert _step_view([climbed.plan]) == _step_view([want_plan])
-            assert _step_view(pareto_step(m, climbed.plan)) == _step_view(
+            assert _step_view(pareto_step(m, climbed.plan, {})) == _step_view(
                 _reference_step(m, climbed.plan, {})
             )
 
@@ -918,7 +925,7 @@ class TestClimbDifferential:
         # does the new child node of a rotation or exchange
         for seed, m in _climb_models(n, topology):
             plan = random_plan(m, random.Random(seed))
-            for node in plan.nodes():
+            for node in plan_nodes(plan):
                 if not node.is_join:
                     continue
                 for move in root_moves(m, node.outer, node.inner, node.join_op):
