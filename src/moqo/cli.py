@@ -16,19 +16,21 @@ import configparser
 import sys
 
 from .baselines import MAX_EXHAUSTIVE_TABLES, dp_frontier, exhaustive_frontier
-from .costmodel import N_METRICS, CostModel, Topology
+from .costmodel import N_METRICS, Topology
 from .harness import (
     BASE_ALGORITHMS,
     SAMPLES_HEADER,
     ClimbStatsConfig,
     ExperimentConfig,
     ReferenceMode,
+    _split_tokens,
     climb_stats,
+    instance_model,
     parse_catalog_spec,
     run_experiment,
     sample_row,
 )
-from .querygen import GenSpec, SelectivityMode, generate_query
+from .querygen import GenSpec, SelectivityMode
 
 
 # the table count of ``moqo run`` when neither a flag nor the config sets it
@@ -48,14 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _split(raw: str) -> list:
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
-
-
 def _parse_seeds(raw: str) -> tuple:
     """Accept comma-separated ints and inclusive A-B ranges."""
     seeds: list = []
-    for token in _split(raw):
+    for token in _split_tokens(raw):
         sep = token.find("-", 1)
         if sep != -1:
             try:
@@ -227,7 +225,7 @@ _FIELDS = {
         lambda raw: _enum_value(SelectivityMode, raw, "selectivity mode"),
     ),
     "metrics": ("metrics_count", None),
-    "algos": ("algorithms", lambda raw: tuple(_split(raw))),
+    "algos": ("algorithms", lambda raw: tuple(_split_tokens(raw))),
     "sample_ms": ("sample_interval", None),
     "seeds": ("seeds", _parse_seeds),
     "reference": (
@@ -275,7 +273,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     kwargs = _fields(_given(args, keys))
     if args.tables is not None:
         try:
-            kwargs["table_counts"] = tuple(int(tok) for tok in _split(args.tables))
+            kwargs["table_counts"] = tuple(int(tok) for tok in _split_tokens(args.tables))
         except ValueError as exc:
             raise _ConfigError(f"bad table counts {args.tables!r}") from exc
     try:
@@ -290,24 +288,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    instance = _fields(_given(args, ("topology", "selectivity", "metrics", "seed")))
     try:
-        instance = _fields(_given(args, ("topology", "selectivity", "seed")))
-        spec = GenSpec(n=args.tables, **instance)
-        metrics = {} if args.metrics is None else {"metrics": range(args.metrics)}
-        model = CostModel(generate_query(spec), **metrics)
-        if args.alpha is not None and not args.alpha >= 1.0:
-            raise ValueError("alpha must be >= 1")
-        if args.alpha is None and args.tables > MAX_EXHAUSTIVE_TABLES:
+        model = instance_model(args.tables, **instance)
+        if args.alpha is not None:
+            archive = dp_frontier(model, args.alpha)
+        elif args.tables > MAX_EXHAUSTIVE_TABLES:
             raise ValueError(
                 f"exhaustive oracle supports at most {MAX_EXHAUSTIVE_TABLES} tables; "
                 "pass --alpha to use DP"
             )
+        else:
+            archive = exhaustive_frontier(model)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
-    if args.alpha is None:
-        archive = exhaustive_frontier(model)
-    else:
-        archive = dp_frontier(model, args.alpha)
     costs = sorted(archive.costs())
     print(",".join(f"metric{k}" for k in model.metrics))
     for cost in costs:

@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .core import MAX_TABLES, CostVector, OutputFormat, Plan
 
-METRIC_NAMES = ("time", "buffer", "disc")
 N_METRICS = 3
 
 
@@ -24,9 +23,6 @@ class Topology(enum.Enum):
     CHAIN = "chain"
     CYCLE = "cycle"
     STAR = "star"
-
-
-Edge = tuple  # (table_a, table_b, selectivity)
 
 
 @dataclass(frozen=True)

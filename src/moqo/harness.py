@@ -31,6 +31,7 @@ from .optimizer import Budget, rmq_optimize
 from .querygen import GenSpec, SelectivityMode, generate_query
 
 BASE_ALGORITHMS = ("rmq", "ii", "sa", "2p", "nsga2")
+MAX_EXACT_REFERENCE_TABLES = 7
 
 
 class ReferenceMode(enum.Enum):
@@ -72,8 +73,7 @@ def build_reference(
     """Reference cost-set: pruned union of final archives, or the
     near-exact DP frontier at factor 1.01."""
     if mode is ReferenceMode.EXACT:
-        if model.query.n > 7:
-            raise ValueError("exact reference mode supports at most 7 tables")
+        _check_exact_reference(model.query.n)
         return dp_frontier(model, 1.01).costs()
     union = Archive()
     for archive in runs.values():
@@ -82,13 +82,45 @@ def build_reference(
     return union.costs()
 
 
+def _check_exact_reference(n: int) -> None:
+    if n > MAX_EXACT_REFERENCE_TABLES:
+        raise ValueError(
+            f"exact reference mode supports at most {MAX_EXACT_REFERENCE_TABLES} tables"
+        )
+
+
+def instance_model(
+    n: int,
+    seed: int = GenSpec.seed,
+    topology: Topology = GenSpec.topology,
+    selectivity_mode: SelectivityMode = GenSpec.selectivity_mode,
+    metrics_count: int = N_METRICS,
+    catalog: OperatorCatalog | None = None,
+) -> CostModel:
+    """The cost model of generated instance ``seed``, on ``metrics_count``
+    metrics: all of them, or a subset drawn per seed."""
+    _check_instances(metrics_count, (seed,))
+    spec = GenSpec(n=n, topology=topology, selectivity_mode=selectivity_mode, seed=seed)
+    metrics = range(N_METRICS)
+    if metrics_count < N_METRICS:
+        metrics = sorted(random.Random(f"metrics-{seed}").sample(metrics, metrics_count))
+    return CostModel(generate_query(spec), catalog, metrics)
+
+
+def _check_instances(metrics_count: int, seeds: Sequence) -> None:
+    if not 1 <= metrics_count <= N_METRICS:
+        raise ValueError(f"metric count {metrics_count} outside [1, {N_METRICS}]")
+    if not seeds:
+        raise ValueError("need at least one seed")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved experiment description; one instance drives one CSV."""
 
     n: int
-    topology: Topology = Topology.CHAIN
-    selectivity_mode: SelectivityMode = SelectivityMode.STEINBRUNN
+    topology: Topology = GenSpec.topology
+    selectivity_mode: SelectivityMode = GenSpec.selectivity_mode
     metrics_count: int = N_METRICS
     algorithms: tuple = BASE_ALGORITHMS
     budget_ms: float | None = 3000.0
@@ -100,8 +132,7 @@ class ExperimentConfig:
     catalog: OperatorCatalog | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.metrics_count <= N_METRICS:
-            raise ValueError(f"metric count {self.metrics_count} outside [1, {N_METRICS}]")
+        _check_instances(self.metrics_count, self.seeds)
         if (self.budget_ms is None) == (self.budget_iters is None):
             raise ValueError("set exactly one of budget_ms and budget_iters")
         if self.budget_ms is not None and not 0 <= self.budget_ms < math.inf:
@@ -110,14 +141,12 @@ class ExperimentConfig:
             check_int("budget_iters", self.budget_iters, 0)
         if not 0 < self.sample_interval < math.inf:
             raise ValueError("sample_interval must be finite and > 0")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
         for algorithm in self.algorithms:
             _parse_algorithm(algorithm)
-        if self.reference_mode is ReferenceMode.EXACT and self.n > 7:
-            raise ValueError("exact reference mode supports at most 7 tables")
+        if self.reference_mode is ReferenceMode.EXACT:
+            _check_exact_reference(self.n)
 
     @property
     def by_iterations(self) -> bool:
@@ -216,13 +245,6 @@ class _Sampler:
         self.snapshots.append((end, tuple(archive.costs())))
 
 
-def _metric_subset(seed: int, count: int) -> tuple:
-    if count == N_METRICS:
-        return tuple(range(N_METRICS))
-    rng = random.Random(f"metrics-{seed}")
-    return tuple(sorted(rng.sample(range(N_METRICS), count)))
-
-
 def _run_one(
     cfg: ExperimentConfig, algorithm: str, model: CostModel, seed: int
 ) -> tuple:
@@ -276,15 +298,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     samples: list = []
     per_cell_errors: dict = {}
     for seed in cfg.seeds:
-        spec = GenSpec(
-            n=cfg.n,
-            topology=cfg.topology,
-            selectivity_mode=cfg.selectivity_mode,
-            seed=seed,
+        model = instance_model(
+            cfg.n, seed, cfg.topology, cfg.selectivity_mode, cfg.metrics_count, cfg.catalog
         )
-        query = generate_query(spec)
-        metrics = _metric_subset(seed, cfg.metrics_count)
-        model = CostModel(query, cfg.catalog, metrics)
         cell_results: dict = {}
         cell_samplers: dict = {}
         for algorithm in cfg.algorithms:
@@ -336,16 +352,12 @@ def _aggregate_path(path: str) -> str:
     return path.removesuffix(".csv") + ".agg.csv"
 
 
-def _format_error(value: float) -> str:
-    return "inf" if math.isinf(value) else repr(value)
-
-
 SAMPLES_HEADER = "algorithm,seed,elapsed_ms,alpha_error"
 
 
 def sample_row(s: SamplePoint) -> str:
     """One samples-CSV data line, without its newline."""
-    return f"{s.algorithm},{s.seed},{s.elapsed_ms:g},{_format_error(s.alpha_error)}"
+    return f"{s.algorithm},{s.seed},{s.elapsed_ms:g},{s.alpha_error!r}"
 
 
 def write_samples_csv(path: str, cfg: ExperimentConfig, samples: list) -> None:
@@ -353,7 +365,7 @@ def write_samples_csv(path: str, cfg: ExperimentConfig, samples: list) -> None:
 
 
 def write_aggregate_csv(path: str, cfg: ExperimentConfig, aggregates: list) -> None:
-    rows = (f"{a},{mark:g},{_format_error(median)}" for a, mark, median in aggregates)
+    rows = (f"{a},{mark:g},{median!r}" for a, mark, median in aggregates)
     _write_csv(path, cfg, "aggregate", "algorithm,elapsed_ms,median_alpha", rows)
 
 
@@ -396,18 +408,15 @@ class ClimbStatsConfig:
     """Settings for the path-length and Pareto-set-size statistics."""
 
     table_counts: tuple = (10, 25, 50, 100)
-    topology: Topology = Topology.CHAIN
-    selectivity_mode: SelectivityMode = SelectivityMode.STEINBRUNN
+    topology: Topology = GenSpec.topology
+    selectivity_mode: SelectivityMode = GenSpec.selectivity_mode
     metrics_count: int = N_METRICS
     seeds: tuple = tuple(range(20))
     rmq_iterations: int = 0
     catalog: OperatorCatalog | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.metrics_count <= N_METRICS:
-            raise ValueError(f"metric count {self.metrics_count} outside [1, {N_METRICS}]")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        _check_instances(self.metrics_count, self.seeds)
         if not self.table_counts:
             raise ValueError("need at least one table count")
         check_int("rmq_iterations", self.rmq_iterations, 0)
@@ -427,16 +436,8 @@ def climb_stats(cfg: ClimbStatsConfig) -> list:
         paths = []
         sizes = []
         for seed in cfg.seeds:
-            spec = GenSpec(
-                n=n,
-                topology=cfg.topology,
-                selectivity_mode=cfg.selectivity_mode,
-                seed=seed,
-            )
-            model = CostModel(
-                generate_query(spec),
-                cfg.catalog,
-                _metric_subset(seed, cfg.metrics_count),
+            model = instance_model(
+                n, seed, cfg.topology, cfg.selectivity_mode, cfg.metrics_count, cfg.catalog
             )
             rng = random.Random(seed)
             paths.append(pareto_climb(model, random_plan(model, rng)).path_length)

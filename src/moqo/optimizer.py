@@ -10,7 +10,6 @@ keep the cache tiny while later ones refine it toward exact frontiers.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 import time
@@ -26,8 +25,6 @@ from .core import (
     strictly_dominates,
 )
 from .costmodel import CostModel
-
-log = logging.getLogger(__name__)
 
 
 def random_plan(model: CostModel, rng: random.Random) -> Plan:
@@ -46,48 +43,32 @@ def random_plan(model: CostModel, rng: random.Random) -> Plan:
     n_scan = len(model.catalog.scan_ops)
     n_join = len(model.catalog.join_ops)
 
-    def build(node: _ShapeNode) -> Plan:
-        if node.left is None:
+    def build(node: list) -> Plan:
+        if not node:
             return model.leaf(next(next_table), rng.randrange(n_scan))
-        outer = build(node.left)
-        inner = build(node.right)
+        outer = build(node[0])
+        inner = build(node[1])
         return model.join(outer, inner, rng.randrange(n_join))
 
     return build(shape)
 
 
-class _ShapeNode:
-    __slots__ = ("left", "right", "parent")
-
-    def __init__(self) -> None:
-        self.left: _ShapeNode | None = None
-        self.right: _ShapeNode | None = None
-        self.parent: _ShapeNode | None = None
-
-
-def _random_shape(n: int, rng: random.Random) -> _ShapeNode:
-    root = _ShapeNode()
+def _random_shape(n: int, rng: random.Random) -> list:
+    """A shape of n leaves as nested lists: ``[]`` is a leaf and
+    ``[left, right]`` a join. A graft turns the picked node in place into
+    the join of a copy of its old contents and a fresh leaf; the copy
+    takes the picked node's index, so indices keep naming the same
+    subtrees."""
+    root: list = []
     nodes = [root]
     for _ in range(n - 1):
         pick = rng.randrange(2 * len(nodes))
         victim = nodes[pick >> 1]
-        graft = _ShapeNode()
-        leaf = _ShapeNode()
-        parent = victim.parent
-        if pick & 1:
-            graft.left, graft.right = leaf, victim
-        else:
-            graft.left, graft.right = victim, leaf
-        victim.parent = graft
-        leaf.parent = graft
-        graft.parent = parent
-        if parent is None:
-            root = graft
-        elif parent.left is victim:
-            parent.left = graft
-        else:
-            parent.right = graft
-        nodes.append(graft)
+        moved = victim[:]
+        leaf: list = []
+        victim[:] = [leaf, moved] if pick & 1 else [moved, leaf]
+        nodes[pick >> 1] = moved
+        nodes.append(victim)
         nodes.append(leaf)
     return root
 
@@ -310,17 +291,6 @@ class PlanCache:
     def offer(self, rel: int, plan: Plan, alpha: float) -> None:
         prune_approx(self.frontier(rel), plan, alpha)
 
-    def offer_joins(self, model: CostModel, plan: Plan, alpha: float) -> None:
-        """Offer every combination of the cached frontiers of a join
-        plan's two input table sets to the frontier of its table set."""
-        offer_join_combinations(
-            model,
-            self.frontier(plan.rel),
-            self.frontier(plan.outer.rel),
-            self.frontier(plan.inner.rel),
-            alpha,
-        )
-
     def stats(self) -> dict:
         sizes = [len(lst) for lst in self._lists.values()]
         return {
@@ -389,7 +359,15 @@ def _approximate_rec(
         return
     _approximate_rec(model, plan.outer, cache, alpha)
     _approximate_rec(model, plan.inner, cache, alpha)
-    cache.offer_joins(model, plan, alpha)
+    # every combination of the cached frontiers of the two input table
+    # sets goes to the frontier of the plan's table set
+    offer_join_combinations(
+        model,
+        cache.frontier(plan.rel),
+        cache.frontier(plan.outer.rel),
+        cache.frontier(plan.inner.rel),
+        alpha,
+    )
 
 
 @dataclass(frozen=True)
@@ -424,12 +402,12 @@ def anytime(
     step: Callable[[int], bool | None],
     frontier: Callable[[], list],
     progress_sink: ProgressSink | None,
-) -> int:
+) -> None:
     """The loop every anytime search runs: call ``step`` with iteration
     counts 1, 2, ... until the budget is exhausted or a step returns True.
 
     After every step the progress sink, if given, sees the elapsed time
-    and the current ``frontier()``. Returns the number of steps run.
+    and the current ``frontier()``.
     """
     start = time.perf_counter()
     iteration = 0
@@ -440,7 +418,6 @@ def anytime(
             progress_sink(time.perf_counter() - start, frontier())
         if stop:
             break
-    return iteration
 
 
 def rmq_optimize(
@@ -467,8 +444,7 @@ def rmq_optimize(
         climbed = pareto_climb(model, random_plan(model, rng)).plan
         approximate_frontiers(model, climbed, cache, iteration)
 
-    iterations = anytime(budget, step, lambda: cache.frontier(full), progress_sink)
-    log.debug("cache after %d iterations: %s", iterations, cache.stats())
+    anytime(budget, step, lambda: cache.frontier(full), progress_sink)
     archive = Archive()
     for plan in cache.frontier(full):
         archive.insert(plan)

@@ -39,8 +39,7 @@ class GenSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_TABLES:
             raise ValueError(f"table count {self.n} outside [1, {MAX_TABLES}]")
-        if self.topology is Topology.CYCLE and self.n < 3:
-            raise ValueError("cycle topology needs at least 3 tables")
+        topology_edges(self.topology, self.n)  # rejects a cycle below 3 tables
 
 
 def sample_cardinality(rng: random.Random) -> int:

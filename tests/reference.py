@@ -2,14 +2,16 @@
 
 The package computes these rules in fused or hand-inlined forms (the
 admission scan in ``core.any_within`` and ``core.drop_dominated``, the
-join formula in ``CostModel.join_cost``); the spellings here state each
-rule once, directly, so bit-exact and differential tests can check the
-fast forms against them. Nothing in ``moqo`` calls them.
+join formula in ``CostModel.join_cost``, the nested-list shapes of
+``optimizer.random_plan``); the spellings here state each rule once,
+directly, so bit-exact and differential tests can check the fast forms
+against them. Nothing in ``moqo`` calls them.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Iterator
 
 from moqo.core import CostVector, Plan
@@ -95,3 +97,62 @@ def plan_cost(model: CostModel, plan: Plan) -> CostVector:
         model, plan.join_op, plan.outer.out_card, plan.inner.out_card, out
     )
     return tuple(l + a + b for l, a, b in zip(local, outer_cost, inner_cost))
+
+
+class _ShapeNode:
+    __slots__ = ("left", "right", "parent")
+
+    def __init__(self) -> None:
+        self.left: _ShapeNode | None = None
+        self.right: _ShapeNode | None = None
+        self.parent: _ShapeNode | None = None
+
+
+def _linked_shape(n: int, rng: random.Random) -> _ShapeNode:
+    """Grow a shape one leaf at a time: each step grafts a fresh leaf
+    onto a uniformly chosen node and side, relinking parents explicitly."""
+    root = _ShapeNode()
+    nodes = [root]
+    for _ in range(n - 1):
+        pick = rng.randrange(2 * len(nodes))
+        victim = nodes[pick >> 1]
+        graft = _ShapeNode()
+        leaf = _ShapeNode()
+        parent = victim.parent
+        if pick & 1:
+            graft.left, graft.right = leaf, victim
+        else:
+            graft.left, graft.right = victim, leaf
+        victim.parent = graft
+        leaf.parent = graft
+        graft.parent = parent
+        if parent is None:
+            root = graft
+        elif parent.left is victim:
+            parent.left = graft
+        else:
+            parent.right = graft
+        nodes.append(graft)
+        nodes.append(leaf)
+    return root
+
+
+def linked_random_plan(model: CostModel, rng: random.Random) -> Plan:
+    """``optimizer.random_plan`` over a parent-linked shape: the same
+    draws in the same order, so the same plan for the same rng state."""
+    n = model.query.n
+    shape = _linked_shape(n, rng)
+    tables = list(range(n))
+    rng.shuffle(tables)
+    next_table = iter(tables)
+    n_scan = len(model.catalog.scan_ops)
+    n_join = len(model.catalog.join_ops)
+
+    def build(node: _ShapeNode) -> Plan:
+        if node.left is None:
+            return model.leaf(next(next_table), rng.randrange(n_scan))
+        outer = build(node.left)
+        inner = build(node.right)
+        return model.join(outer, inner, rng.randrange(n_join))
+
+    return build(shape)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from moqo import harness
 from moqo.cli import main
-from moqo.harness import ExperimentConfig
+from moqo.harness import ExperimentConfig, run_experiment
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +103,41 @@ class TestOracle:
         )
         assert code == 0
         assert out.splitlines()[0] == "metric0,metric1"
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_metrics_agree_with_runs(self, capsys, monkeypatch, count, seed):
+        # the oracle optimizes the metric subset a run draws for the seed
+        seen = []
+        run_one = harness._run_one
+
+        def spy(cfg, algorithm, model, cell_seed):
+            seen.append(model.metrics)
+            return run_one(cfg, algorithm, model, cell_seed)
+
+        monkeypatch.setattr(harness, "_run_one", spy)
+        cfg = ExperimentConfig(
+            n=4,
+            metrics_count=count,
+            seeds=(seed,),
+            algorithms=("ii",),
+            budget_ms=None,
+            budget_iters=1,
+        )
+        run_experiment(cfg)
+        code, out, _ = run_cli(
+            capsys,
+            "oracle", "--tables", "4", "--metrics", str(count), "--seed", str(seed),
+        )
+        assert code == 0
+        assert out.splitlines()[0] == ",".join(f"metric{k}" for k in seen[0])
+
+    @pytest.mark.parametrize("count", ["0", "4"])
+    def test_metric_count_out_of_range(self, capsys, count):
+        code, out, err = run_cli(capsys, "oracle", "--tables", "3", "--metrics", count)
+        assert code == 1
+        assert f"metric count {count} outside [1, 3]" in err
+        assert out == ""
 
     def test_too_many_tables_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--tables", "9")

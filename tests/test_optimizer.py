@@ -38,7 +38,13 @@ from moqo.optimizer import (
     root_moves,
 )
 from moqo.querygen import GenSpec, generate_query
-from reference import approx_dominates, plan_cost, plan_nodes, weakly_dominates
+from reference import (
+    approx_dominates,
+    linked_random_plan,
+    plan_cost,
+    plan_nodes,
+    weakly_dominates,
+)
 
 
 def single_op_catalog():
@@ -115,6 +121,24 @@ class TestRandomPlan:
         a = [shape_signature(random_plan(m, random.Random(9))) for _ in range(20)]
         b = [shape_signature(random_plan(m, random.Random(9))) for _ in range(20)]
         assert a == b
+
+    @pytest.mark.parametrize(
+        "topology, n",
+        [
+            (topology, n)
+            for topology in Topology
+            for n in (1, 2, 3, 7, 50, 128)
+            if topology is not Topology.CYCLE or n >= 3
+        ],
+    )
+    def test_matches_linked_shape_spelling(self, topology, n):
+        # the nested-list shapes draw plan for plan what the parent-linked
+        # spelling draws, and leave the rng in the same state
+        m = CostModel(generate_query(GenSpec(n=n, topology=topology, seed=n)))
+        fast, slow = random.Random(n), random.Random(n)
+        for _ in range(40):
+            assert repr(random_plan(m, fast)) == repr(linked_random_plan(m, slow))
+        assert fast.getstate() == slow.getstate()
 
 
 class TestMutations:
