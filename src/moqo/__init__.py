@@ -43,8 +43,7 @@ from .querygen import GenSpec, SelectivityMode, generate_query
 __version__ = "0.1.0"
 
 # the documented surface; building blocks such as pareto_climb,
-# random_plan, prune_approx or nondominated_ranks are imported from
-# their own modules
+# random_plan or nondominated_ranks are imported from their own modules
 __all__ = [
     "Archive",
     "Budget",

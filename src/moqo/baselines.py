@@ -5,11 +5,12 @@ NSGA-II.
 All anytime runners share the signature (model, budget, seed,
 progress_sink) so the benchmark harness can treat them uniformly, and
 all of them run their iterations through ``optimizer.anytime``, the one
-loop that checks the budget and feeds the progress sink. The
-exhaustive oracle and the DP scheme are deliberately separate
-implementations of frontier search; their agreement at full precision is
-the package's keystone correctness check. The exhaustive oracle is a
-plain enumeration into one ``Archive`` per table set, built with
+loop that checks the budget and feeds the progress sink; II, SA and
+two-phase optimization are one climb-then-anneal loop. The exhaustive
+oracle and the DP scheme are deliberately separate implementations of
+frontier search; their agreement at full precision is the package's
+keystone correctness check. The exhaustive oracle is a plain
+enumeration into one ``Archive`` per table set, built with
 ``CostModel.leaf``/``CostModel.join`` and ``Archive.insert``, so the
 only code it shares with DP is the cost model and the archive.
 """
@@ -33,7 +34,6 @@ from .optimizer import (
     mutations,
     offer_join_combinations,
     pareto_climb,
-    prune_approx,
     random_plan,
     root_moves,
 )
@@ -104,16 +104,16 @@ def dp_frontier(
     start = time.perf_counter()
     fronts: dict = {}
     for t in range(n):
-        lst: list = []
+        leaves = Archive()
         for op in range(len(model.catalog.scan_ops)):
-            prune_approx(lst, model.leaf(t, op), per_level)
-        fronts[1 << t] = lst
+            leaves.insert(model.leaf(t, op), per_level)
+        fronts[1 << t] = leaves
     for size in range(2, n + 1):
         for combo in itertools.combinations(range(n), size):
             bits = 0
             for t in combo:
                 bits |= 1 << t
-            target: list = []
+            target = Archive()
             sub = (bits - 1) & bits
             # at least two tables, so this runs at least once
             while sub:
@@ -124,28 +124,7 @@ def dp_frontier(
                 )
                 sub = (sub - 1) & bits
             fronts[bits] = target
-    archive = Archive()
-    for plan in fronts[(1 << n) - 1]:
-        archive.insert(plan)
-    return archive
-
-
-def run_ii(
-    model: CostModel,
-    budget: Budget,
-    seed: int = 0,
-    progress_sink: ProgressSink | None = None,
-) -> Archive:
-    """Iterative improvement: climb fresh random plans to local Pareto
-    optima and archive every result."""
-    rng = random.Random(seed)
-    archive = Archive()
-
-    def step(iteration: int) -> None:
-        archive.insert(pareto_climb(model, random_plan(model, rng)).plan)
-
-    anytime(budget, step, lambda: archive.entries, progress_sink)
-    return archive
+    return fronts[(1 << n) - 1]
 
 
 @dataclass(frozen=True)
@@ -168,13 +147,6 @@ class SaConfig:
             raise ValueError("start_temperature_scale must be finite and > 0")
         if not 0.0 <= self.freeze_temperature < math.inf:
             raise ValueError("freeze_temperature must be finite and >= 0")
-
-
-@dataclass
-class SaState:
-    current: Plan
-    temperature: float
-    unimproved_stages: int = 0
 
 
 def _random_neighbor(model: CostModel, plan: Plan, rng: random.Random) -> Plan:
@@ -205,44 +177,66 @@ def _mutate_at(model: CostModel, plan: Plan, idx: int, rng: random.Random) -> Pl
     )
 
 
-def _sa_stage(
+def _climb_then_anneal(
     model: CostModel,
-    rng: random.Random,
-    archive: Archive,
-    state: SaState,
-    config: SaConfig,
-) -> bool:
-    """Run one annealing stage, then cool. Returns True once the state is
-    frozen: cold, and without an archive gain for enough stages."""
+    budget: Budget,
+    seed: int,
+    progress_sink: ProgressSink | None,
+    climbs: float,
+    start=None,
+    config: SaConfig = SaConfig(),
+) -> Archive:
+    """The one local search of II, SA and 2P. Each of the first ``climbs``
+    iterations climbs a fresh random plan; every later one is an
+    annealing stage of ``neighbors_per_table`` random neighbors per
+    table, the first from the (plan, temperature) ``start(rng, archive)``
+    returns. The loop stops once frozen: cold, and without an archive
+    gain for ``freeze_stages`` stages. Every plan reached feeds the archive.
+    """
+    rng = random.Random(seed)
+    archive = Archive()
     n_metrics = model.n_metrics
-    improved = False
-    for _ in range(config.neighbors_per_table * model.query.n):
-        neighbor = _random_neighbor(model, state.current, rng)
-        if archive.insert(neighbor):
-            improved = True
-        if strictly_dominates(neighbor.cost, state.current.cost):
-            state.current = neighbor
-            continue
-        delta = (
-            sum(
-                (nb - cur) / cur
-                for nb, cur in zip(neighbor.cost, state.current.cost)
-            )
-            / n_metrics
-        )
-        if delta < 0.0:
-            delta = 0.0
-        if rng.random() < math.exp(-delta / state.temperature):
-            state.current = neighbor
-    state.temperature *= config.cooling
-    if improved:
-        state.unimproved_stages = 0
-    else:
-        state.unimproved_stages += 1
-    return (
-        state.temperature < config.freeze_temperature
-        and state.unimproved_stages >= config.freeze_stages
-    )
+    current = None
+    temperature = 0.0
+    unimproved = 0
+
+    def step(iteration: int) -> bool:
+        nonlocal current, temperature, unimproved
+        if iteration <= climbs:
+            archive.insert(pareto_climb(model, random_plan(model, rng)).plan)
+            return False
+        if current is None:
+            current, temperature = start(rng, archive)
+        improved = False
+        for _ in range(config.neighbors_per_table * model.query.n):
+            neighbor = _random_neighbor(model, current, rng)
+            improved |= archive.insert(neighbor)
+            if strictly_dominates(neighbor.cost, current.cost):
+                current = neighbor
+                continue
+            # mean relative cost change, floored at 0
+            rise = sum((nb - cur) / cur for nb, cur in zip(neighbor.cost, current.cost))
+            delta = max(rise / n_metrics, 0.0)
+            if rng.random() < math.exp(-delta / temperature):
+                current = neighbor
+        temperature *= config.cooling
+        unimproved = 0 if improved else unimproved + 1
+        frozen = temperature < config.freeze_temperature
+        return frozen and unimproved >= config.freeze_stages
+
+    anytime(budget, step, lambda: archive.entries, progress_sink)
+    return archive
+
+
+def run_ii(
+    model: CostModel,
+    budget: Budget,
+    seed: int = 0,
+    progress_sink: ProgressSink | None = None,
+) -> Archive:
+    """Iterative improvement: climb fresh random plans to local Pareto
+    optima and archive every result."""
+    return _climb_then_anneal(model, budget, seed, progress_sink, math.inf)
 
 
 def run_sa(
@@ -260,22 +254,13 @@ def run_sa(
     temperature the configured scale. A single trajectory is annealed
     until frozen; every visited plan feeds the archive.
     """
-    rng = random.Random(seed)
-    archive = Archive()
-    state = None
 
-    def step(iteration: int) -> bool:
-        nonlocal state
-        if state is None:
-            current = random_plan(model, rng)
-            archive.insert(current)
-            state = SaState(
-                current=current, temperature=config.start_temperature_scale * 1.0
-            )
-        return _sa_stage(model, rng, archive, state, config)
+    def start(rng: random.Random, archive: Archive) -> tuple:
+        current = random_plan(model, rng)
+        archive.insert(current)
+        return current, config.start_temperature_scale
 
-    anytime(budget, step, lambda: archive.entries, progress_sink)
-    return archive
+    return _climb_then_anneal(model, budget, seed, progress_sink, 0, start, config)
 
 
 def run_2p(
@@ -290,30 +275,19 @@ def run_2p(
     annealing from the archive plan with the lowest normalized cost sum
     (per-metric costs divided by the archive minima)."""
     check_int("improvement_iterations", improvement_iterations, 1)
-    rng = random.Random(seed)
-    archive = Archive()
-    state = None
 
-    def step(iteration: int) -> bool:
-        nonlocal state
-        if iteration <= improvement_iterations:
-            archive.insert(pareto_climb(model, random_plan(model, rng)).plan)
-            return False
-        if state is None:
-            mins = [
-                min(plan.cost[k] for plan in archive.entries)
-                for k in range(model.n_metrics)
-            ]
+    def start(rng: random.Random, archive: Archive) -> tuple:
+        mins = [min(plan.cost[k] for plan in archive) for k in range(model.n_metrics)]
 
-            def normalized_sum(plan: Plan) -> float:
-                return sum(c / m for c, m in zip(plan.cost, mins))
+        def normalized_sum(plan: Plan) -> float:
+            return sum(c / m for c, m in zip(plan.cost, mins))
 
-            handoff = min(archive.entries, key=normalized_sum)
-            state = SaState(current=handoff, temperature=0.1 * normalized_sum(handoff))
-        return _sa_stage(model, rng, archive, state, config)
+        handoff = min(archive, key=normalized_sum)
+        return handoff, 0.1 * normalized_sum(handoff)
 
-    anytime(budget, step, lambda: archive.entries, progress_sink)
-    return archive
+    return _climb_then_anneal(
+        model, budget, seed, progress_sink, improvement_iterations, start, config
+    )
 
 
 @dataclass

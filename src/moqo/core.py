@@ -170,10 +170,11 @@ class Plan:
 
 
 class Archive:
-    """Set of plans that are mutually non-dominated within each format.
+    """A frontier: plans that are mutually non-dominated within each format.
 
     Insertion rejects any plan weakly dominated by a stored plan of the
-    same format, so on exact cost ties the earlier plan wins. Accepted
+    same format (on exact cost ties the earlier plan wins) or, at a
+    factor alpha > 1, alpha-approximately dominated by one. Accepted
     plans evict every same-format entry they weakly dominate.
     """
 
@@ -188,11 +189,16 @@ class Archive:
     def __iter__(self) -> Iterator[Plan]:
         return iter(self.entries)
 
-    def insert(self, plan: Plan) -> bool:
-        """Offer a plan; returns True iff it was added."""
+    def insert(self, plan: Plan, alpha: float = 1.0) -> bool:
+        """Offer a plan, admitted at factor ``alpha`` >= 1; returns True
+        iff it was added."""
         cost = plan.cost
         fmt = plan.fmt
-        if any_within(self.entries, fmt, cost):
+        if not alpha >= 1.0:
+            raise ValueError(f"approximation factor must be >= 1, got {alpha}")
+        # the exact path allocates nothing
+        limit = cost if alpha == 1.0 else [alpha * c for c in cost]
+        if any_within(self.entries, fmt, limit):
             return False
         drop_dominated(self.entries, fmt, cost)
         self.entries.append(plan)

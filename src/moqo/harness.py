@@ -133,6 +133,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_instances(self.metrics_count, self.seeds)
+        GenSpec(n=self.n, topology=self.topology)  # table count, cycle minimum
         if (self.budget_ms is None) == (self.budget_iters is None):
             raise ValueError("set exactly one of budget_ms and budget_iters")
         if self.budget_ms is not None and not 0 <= self.budget_ms < math.inf:
@@ -175,10 +176,15 @@ class ExperimentConfig:
 
 
 def _catalog_repr(catalog: OperatorCatalog) -> str:
-    """The catalog in ``parse_catalog_spec``'s token syntax."""
+    """The catalog in ``parse_catalog_spec``'s token syntax when that
+    syntax rebuilds it exactly, else its full dataclass repr."""
     scans = ",".join(f"{op.name}:{op.time_per_row}" for op in catalog.scan_ops)
     joins = ",".join(_join_token(op) for op in catalog.join_ops)
-    return f"scans[{scans}] joins[{joins}]"
+    try:
+        exact = parse_catalog_spec(scans, joins) == catalog
+    except ValueError:
+        exact = False
+    return f"scans[{scans}] joins[{joins}]" if exact else repr(catalog)
 
 
 def _join_token(op: JoinOp) -> str:

@@ -3,9 +3,10 @@
 One iteration draws a uniformly random bushy plan, hill-climbs it with
 simultaneous sub-tree mutations until no neighbor strictly dominates,
 then feeds the climbed plan's intermediate results through a shared plan
-cache that approximates one Pareto frontier per table set. The cache's
-precision factor tightens with the iteration count, so early iterations
-keep the cache tiny while later ones refine it toward exact frontiers.
+cache that approximates one Pareto frontier, an ``Archive``, per table
+set. The cache's precision factor tightens with the iteration count, so
+early iterations keep the cache tiny while later ones refine it toward
+exact frontiers.
 """
 
 from __future__ import annotations
@@ -254,45 +255,30 @@ def alpha_schedule(i: int) -> float:
     return 25.0 * 0.99 ** (i // 25)
 
 
-def prune_approx(plans: list, new_plan: Plan, alpha: float) -> list:
-    """Approximate-frontier insertion: reject the newcomer if an existing
-    same-format plan alpha-approximately dominates it; otherwise drop
-    every same-format plan the newcomer weakly dominates and append it.
-    Mutates and returns the list."""
-    if not alpha >= 1.0:
-        raise ValueError(f"approximation factor must be >= 1, got {alpha}")
-    fmt = new_plan.fmt
-    cost = new_plan.cost
-    if not any_within(plans, fmt, [alpha * c for c in cost]):
-        drop_dominated(plans, fmt, cost)
-        plans.append(new_plan)
-    return plans
-
-
 class PlanCache:
-    """Frontier lists keyed by table set bit mask, shared across iterations.
+    """Frontier archives keyed by table set bit mask, shared across
+    iterations.
 
     Entries are never evicted; precision only enters through the alpha
     used at insertion time.
     """
 
-    __slots__ = ("_lists",)
+    __slots__ = ("_archives",)
 
     def __init__(self) -> None:
-        self._lists: dict = {}
+        self._archives: dict = {}
 
-    def frontier(self, rel: int) -> list:
-        lst = self._lists.get(rel)
-        if lst is None:
-            lst = []
-            self._lists[rel] = lst
-        return lst
+    def frontier(self, rel: int) -> Archive:
+        archive = self._archives.get(rel)
+        if archive is None:
+            archive = self._archives[rel] = Archive()
+        return archive
 
     def offer(self, rel: int, plan: Plan, alpha: float) -> None:
-        prune_approx(self.frontier(rel), plan, alpha)
+        self.frontier(rel).insert(plan, alpha)
 
     def stats(self) -> dict:
-        sizes = [len(lst) for lst in self._lists.values()]
+        sizes = [len(archive) for archive in self._archives.values()]
         return {
             "keys": len(sizes),
             "plans": sum(sizes),
@@ -302,20 +288,21 @@ class PlanCache:
 
 def offer_join_combinations(
     model: CostModel,
-    plans: list,
-    outs: list,
-    ins: list,
+    archive: Archive,
+    outs: Archive,
+    ins: Archive,
     alpha: float,
 ) -> int:
-    """Offer every (outer, inner, join operator) combination to a pruned
-    list, in that nesting order. Returns the net length change.
+    """Offer every (outer, inner, join operator) combination to an
+    archive, in that nesting order. Returns the net size change.
 
-    Semantically identical to calling prune_approx once per combination.
-    Each combination is priced with ``CostModel.join_cost`` and built only
-    once admitted.
+    Semantically identical to calling ``archive.insert(plan, alpha)``
+    once per combination. Each combination is priced with
+    ``CostModel.join_cost`` and built only once admitted.
     """
     if not alpha >= 1.0:
         raise ValueError(f"approximation factor must be >= 1, got {alpha}")
+    plans = archive.entries
     before = len(plans)
     join_cost = model.join_cost
     fmts = [op.fmt for op in model.catalog.join_ops]
@@ -430,8 +417,8 @@ def rmq_optimize(
     """Randomized multi-objective optimization of the model's query.
 
     Repeats random plan generation, Pareto climbing and frontier
-    approximation until the budget runs out, then reports the cached
-    frontier of the full table set as a strictly pruned archive. The
+    approximation until the budget runs out, then returns a copy of the
+    cached frontier archive of the full table set. The
     progress sink, if given, sees the live full-set frontier after every
     iteration and must only snapshot cost vectors.
     """
@@ -444,8 +431,8 @@ def rmq_optimize(
         climbed = pareto_climb(model, random_plan(model, rng)).plan
         approximate_frontiers(model, climbed, cache, iteration)
 
-    anytime(budget, step, lambda: cache.frontier(full), progress_sink)
+    anytime(budget, step, lambda: cache.frontier(full).entries, progress_sink)
+    # a copy, as a caller may pass the same cache to later runs
     archive = Archive()
-    for plan in cache.frontier(full):
-        archive.insert(plan)
+    archive.entries.extend(cache.frontier(full))
     return archive

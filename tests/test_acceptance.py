@@ -33,7 +33,6 @@ from moqo.harness import (
 from moqo.optimizer import (
     Budget,
     PlanCache,
-    prune_approx,
     random_plan,
     rmq_optimize,
 )
@@ -290,12 +289,12 @@ class TestCriterion7:
         failures = 0
         for _ in range(400):
             alpha = rng.choice([1.0, 1.2, 2.0, 25.0])
-            approx_got, approx_want = [], []
+            approx_got, approx_want = Archive(), []
             for _ in range(30):
                 fmt = rng.choice([OutputFormat.PIPELINED, OutputFormat.MATERIALIZED])
                 cost = tuple(float(rng.randint(1, 6)) for _ in range(2))
                 plan = _leaf_plan(cost, fmt)
-                prune_approx(approx_got, plan, alpha)
+                approx_got.insert(plan, alpha)
                 _naive_prune(approx_want, plan, alpha)
             if [id(p) for p in approx_got] != [id(p) for p in approx_want]:
                 failures += 1

@@ -26,6 +26,8 @@ from moqo.costmodel import (
     QueryInstance,
     ScanOp,
     Topology,
+    default_catalog,
+    materializing_catalog,
 )
 from moqo.harness import epsilon_indicator
 from moqo.optimizer import Budget, rmq_optimize
@@ -200,6 +202,35 @@ class TestDpFrontier:
         m = model_for(1, 5)
         arc = dp_frontier(m, 1.0)
         assert sorted(arc.costs()) == sorted(exhaustive_frontier(m).costs())
+
+
+_REINSERT_CASES = [
+    (topology, n, seed)
+    for topology in Topology
+    for n in (3, 5, 6)
+    for seed in range(4)
+]
+
+
+@pytest.mark.parametrize(
+    "topology,n,seed",
+    _REINSERT_CASES,
+    ids=[f"{t.value}-{n}-{seed}" for t, n, seed in _REINSERT_CASES],
+)
+def test_dp_result_equals_reinserted_copy(topology, n, seed):
+    """dp_frontier returns its full-set table entry as it is: admitting
+    its plans one by one into a fresh archive keeps every plan, in
+    order, at every factor, metric subset and catalog."""
+    query = generate_query(GenSpec(n=n, topology=topology, seed=seed))
+    for catalog in (default_catalog, materializing_catalog):
+        for metrics in ((0, 1, 2), (0, 2), (1,)):
+            model = CostModel(query, catalog(), metrics)
+            for alpha in (1.0, 1.01, 2.0, math.inf):
+                got = dp_frontier(model, alpha)
+                copy = Archive()
+                for plan in got:
+                    copy.insert(plan)
+                assert [id(p) for p in copy] == [id(p) for p in got]
 
 
 class TestRunIi:

@@ -65,6 +65,17 @@ class TestParsing:
         assert "config error" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--tables", "200"), ("--tables", "2", "--topology", "cycle")],
+        ids=["too-many-tables", "short-cycle"],
+    )
+    def test_out_of_range_instance_is_config_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "run", *flags, "--budget-iters", "1", "--seeds", "0")
+        assert code == 1
+        assert "config error" in err
+        assert out == ""
+
     def test_both_budgets_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -13,6 +13,7 @@ import math
 import pytest
 
 from moqo.baselines import (
+    SaConfig,
     dp_frontier,
     exhaustive_frontier,
     run_2p,
@@ -113,3 +114,84 @@ def test_oracle_digest_pinned(case):
     else:
         archive = exhaustive_frontier(model)
     assert frontier_digest(archive.costs()) == ORACLE_GOLDEN[case]
+
+
+def _model(topology, seed, metrics=(0, 1, 2)):
+    spec = GenSpec(n=12, topology=Topology(topology), seed=seed)
+    return CostModel(generate_query(spec), metrics=metrics)
+
+
+# SA with short stages and fast cooling freezes well inside its cap.
+# (topology, seed) -> (iterations until frozen, sha1 of the final frontier)
+SA_FREEZE_CONFIG = SaConfig(neighbors_per_table=2, cooling=0.5, freeze_stages=1)
+SA_FREEZE_GOLDEN = {
+    ("chain", 0): (13, "a6a2cc2e672cda3275978b2dfef26d12580bec63"),
+    ("chain", 1): (12, "bde3441e5a505301e3a2e1e4c9a752b6a97fc359"),
+    ("star", 0): (12, "195d5d51c4e8683772a52d049caedea30f25b498"),
+    ("star", 1): (26, "7f7f9ef6f8c9e3e6c65336d7927adf2e9ed35535"),
+}
+
+
+@pytest.mark.parametrize("topology,seed", sorted(SA_FREEZE_GOLDEN))
+def test_sa_until_frozen_pinned(topology, seed):
+    steps = []
+    archive = run_sa(
+        _model(topology, seed),
+        Budget(max_iterations=1000),
+        seed=seed,
+        progress_sink=lambda elapsed, plans: steps.append(elapsed),
+        config=SA_FREEZE_CONFIG,
+    )
+    got = (len(steps), frontier_digest(archive.costs()))
+    assert got == SA_FREEZE_GOLDEN[(topology, seed)]
+
+
+# 2P on metrics (0, 1), eight iterations, with the hand-off to annealing
+# after the first and after the third iteration.
+# (improvement_iterations, topology, seed) -> sha1 of the final frontier
+TWO_PHASE_GOLDEN = {
+    (1, "chain", 0): "fbc79b169ac5ce2fb4b52796072cea0c61ca64c7",
+    (1, "chain", 1): "29cf2132b7555d77e7cd96383186d36f9954a029",
+    (1, "star", 0): "f93926fbf4765d530e147a8b3a3d175d3daa36c7",
+    (1, "star", 1): "8fcb5dd481a09d7bbe45e920122385830839dbef",
+    (3, "chain", 0): "9352079e63b7792125354ebacf11769c91feb7d5",
+    (3, "chain", 1): "34e6ed8c70d6c26cc1d03f1ef10b3f548f24acf1",
+    (3, "star", 0): "4f9044f4a95b78a8eb8a39709aefbaf7a1520f56",
+    (3, "star", 1): "07e32ae75e28aec62f0a28ea9d1c35c573c5c58f",
+}
+
+
+@pytest.mark.parametrize("climbs,topology,seed", sorted(TWO_PHASE_GOLDEN))
+def test_two_phase_hand_off_pinned(climbs, topology, seed):
+    archive = run_2p(
+        _model(topology, seed, (0, 1)),
+        Budget(max_iterations=8),
+        seed=seed,
+        improvement_iterations=climbs,
+    )
+    assert frontier_digest(archive.costs()) == TWO_PHASE_GOLDEN[(climbs, topology, seed)]
+
+
+# II with a progress sink, eight iterations.
+# (topology, seed) -> (snapshot count, sha1 over the snapshot digests)
+II_SINK_GOLDEN = {
+    ("chain", 0): (8, "0aa6b5d281639cc6ae4903adfc39f5bfbdb28f55"),
+    ("chain", 1): (8, "2487e73d66f26a8b204bdeb4b240c240fde243b6"),
+    ("star", 0): (8, "29e43c69d624762b2364024276dc3ba25b430a3a"),
+    ("star", 1): (8, "856649f7065bc45768e51d32afa3fb124e74d968"),
+}
+
+
+@pytest.mark.parametrize("topology,seed", sorted(II_SINK_GOLDEN))
+def test_ii_progress_snapshots_pinned(topology, seed):
+    snapshots = []
+
+    def sink(elapsed, plans):
+        snapshots.append(frontier_digest([p.cost for p in plans]))
+
+    archive = run_ii(
+        _model(topology, seed), Budget(max_iterations=8), seed=seed, progress_sink=sink
+    )
+    assert snapshots[-1] == frontier_digest(archive.costs())
+    digest = hashlib.sha1("\n".join(snapshots).encode()).hexdigest()
+    assert (len(snapshots), digest) == II_SINK_GOLDEN[(topology, seed)]

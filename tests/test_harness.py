@@ -2,12 +2,13 @@
 
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from moqo.baselines import dp_frontier, exhaustive_frontier, run_ii
-from moqo.core import Archive
-from moqo.costmodel import CostModel, Topology
+from moqo.core import Archive, OutputFormat
+from moqo.costmodel import CostModel, Topology, default_catalog
 from moqo.harness import (
     ClimbStatsConfig,
     ExperimentConfig,
@@ -193,6 +194,13 @@ class TestExperimentConfig:
         for bad in (0, 4):
             with pytest.raises(ValueError):
                 ExperimentConfig(n=5, metrics_count=bad)
+
+    @pytest.mark.parametrize(
+        "n,topology", [(0, Topology.CHAIN), (129, Topology.STAR), (2, Topology.CYCLE)]
+    )
+    def test_instance_range_checked(self, n, topology):
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=n, topology=topology)
 
     def test_exact_reference_size_guard(self):
         with pytest.raises(ValueError):
@@ -474,6 +482,38 @@ class TestParseCatalogSpec:
         (line,) = [line for line in lines if line.startswith("catalog=")]
         recorded = re.fullmatch(r"catalog=scans\[(.*)\] joins\[(.*)\]", line)
         assert parse_catalog_spec(*recorded.groups()) == cat
+
+    # one changed value per operator field
+    CHANGED = {
+        "name": "other",
+        "kind": "hash",
+        "time_per_row": 3.0,
+        "buffer": 2.0,
+        "disc": 0.5,
+        "fmt": OutputFormat.MATERIALIZED,
+        "loop_factor": 0.5,
+        "buffer_pages": 8.0,
+    }
+
+    @pytest.mark.parametrize("field", sorted(CHANGED))
+    def test_config_header_records_every_operator_field(self, field):
+        def header(catalog):
+            lines = ExperimentConfig(n=5, catalog=catalog).resolved_lines()
+            (line,) = [line for line in lines if line.startswith("catalog=")]
+            return line
+
+        base = default_catalog()
+        checked = 0
+        for group in ("scan_ops", "join_ops"):
+            ops = getattr(base, group)
+            for idx, op in enumerate(ops):
+                if not hasattr(op, field) or getattr(op, field) == self.CHANGED[field]:
+                    continue
+                changed = replace(op, **{field: self.CHANGED[field]})
+                catalog = replace(base, **{group: ops[:idx] + (changed,) + ops[idx + 1 :]})
+                assert header(catalog) != header(base), (group, idx)
+                checked += 1
+        assert checked
 
     def test_experiment_accepts_custom_catalog(self):
         cat = parse_catalog_spec("s:1.0", "hash")

@@ -32,7 +32,6 @@ from moqo.optimizer import (
     offer_join_combinations,
     pareto_climb,
     pareto_step,
-    prune_approx,
     random_plan,
     rmq_optimize,
     root_moves,
@@ -233,6 +232,13 @@ def naive_prune_approx(plans, new_plan, alpha):
     return plans
 
 
+def archive_holding(plans):
+    """An archive whose entries are exactly ``plans``, in order."""
+    archive = Archive()
+    archive.entries.extend(plans)
+    return archive
+
+
 def make_plan(cost, fmt=OutputFormat.PIPELINED, table=0):
     from moqo.core import Plan
 
@@ -247,37 +253,39 @@ def make_plan(cost, fmt=OutputFormat.PIPELINED, table=0):
 
 
 class TestPruneApprox:
+    """Archive.insert at a factor alpha: approximate-frontier admission."""
+
     def test_alpha_rejects_close_newcomer(self):
-        lst = [make_plan((1.0, 1.0))]
-        prune_approx(lst, make_plan((1.5, 1.5)), 2.0)
+        lst = archive_holding([make_plan((1.0, 1.0))])
+        lst.insert(make_plan((1.5, 1.5)), 2.0)
         assert [p.cost for p in lst] == [(1.0, 1.0)]
 
     def test_removal_needs_weak_dominance(self):
         # newcomer outside the rejection factor but not dominating: both stay
-        lst = [make_plan((1.0, 4.0))]
-        prune_approx(lst, make_plan((4.0, 1.0)), 2.0)
+        lst = archive_holding([make_plan((1.0, 4.0))])
+        lst.insert(make_plan((4.0, 1.0)), 2.0)
         assert len(lst) == 2
 
     def test_dominating_newcomer_evicts(self):
-        lst = [make_plan((1.0, 1.0))]
-        prune_approx(lst, make_plan((0.4, 0.4)), 2.0)
+        lst = archive_holding([make_plan((1.0, 1.0))])
+        lst.insert(make_plan((0.4, 0.4)), 2.0)
         assert [p.cost for p in lst] == [(0.4, 0.4)]
 
     def test_equal_costs_rejected(self):
-        lst = [make_plan((2.0, 2.0))]
-        prune_approx(lst, make_plan((2.0, 2.0)), 1.0)
+        lst = archive_holding([make_plan((2.0, 2.0))])
+        lst.insert(make_plan((2.0, 2.0)), 1.0)
         assert len(lst) == 1
 
     def test_alpha_below_one_rejected(self):
         for alpha in (0.5, math.nan):
             with pytest.raises(ValueError):
-                prune_approx([], make_plan((1.0,)), alpha)
+                Archive().insert(make_plan((1.0,)), alpha)
 
     def test_conformance_random(self):
         rng = random.Random(32)
         for _ in range(300):
             alpha = rng.choice([1.0, 1.3, 2.0, 10.0])
-            got, want = [], []
+            got, want = Archive(), []
             for _ in range(40):
                 plan = make_plan(
                     tuple(float(rng.randint(1, 6)) for _ in range(2)),
@@ -285,7 +293,7 @@ class TestPruneApprox:
                         [OutputFormat.PIPELINED, OutputFormat.MATERIALIZED]
                     ),
                 )
-                prune_approx(got, plan, alpha)
+                got.insert(plan, alpha)
                 naive_prune_approx(want, plan, alpha)
             assert [id(p) for p in got] == [id(p) for p in want]
 
@@ -296,7 +304,7 @@ class TestPruneApprox:
         pool = [0.0, 1.0, 2.0, 3.0] * 3 + [math.inf, math.nan]
         for _ in range(100):
             alpha = rng.choice([1.0, 1.5, math.inf])
-            got, want = [], []
+            got, want = Archive(), []
             for _ in range(30):
                 plan = make_plan(
                     tuple(rng.choice(pool) for _ in range(width)),
@@ -304,16 +312,16 @@ class TestPruneApprox:
                         [OutputFormat.PIPELINED, OutputFormat.MATERIALIZED]
                     ),
                 )
-                prune_approx(got, plan, alpha)
+                got.insert(plan, alpha)
                 naive_prune_approx(want, plan, alpha)
                 assert [id(p) for p in got] == [id(p) for p in want]
 
     def test_length_mismatch_rejected(self):
         for other in ((1.0,), (1.0, 2.0, 3.0)):
             for alpha in (1.0, 2.0):
-                lst = [make_plan((1.0, 2.0))]
+                lst = archive_holding([make_plan((1.0, 2.0))])
                 with pytest.raises(ValueError):
-                    prune_approx(lst, make_plan(other), alpha)
+                    lst.insert(make_plan(other), alpha)
 
 
 def wide_catalog(n_scans, rng):
@@ -336,7 +344,7 @@ class TestOfferJoinCombinations:
     def test_matches_sequential_reference(self):
         for n_scans, alpha in ((6, 1.0), (6, 1.5), (45, 1.0), (45, 1.2), (45, 25.0)):
             m, outs, ins = self._inputs(n_scans, n_scans)
-            got = []
+            got = Archive()
             delta = offer_join_combinations(m, got, outs, ins, alpha)
             want = []
             for o in outs:
@@ -350,7 +358,7 @@ class TestOfferJoinCombinations:
 
     def test_costs_bit_exact_vs_scalar_join(self):
         m, outs, ins = self._inputs(45, 5)
-        got = []
+        got = Archive()
         offer_join_combinations(m, got, outs, ins, 1.0)
         for p in got:
             rebuilt = m.join(p.outer, p.inner, p.join_op)
@@ -358,7 +366,7 @@ class TestOfferJoinCombinations:
 
     def test_nonempty_existing_list(self):
         m, outs, ins = self._inputs(40, 6)
-        got = []
+        got = Archive()
         offer_join_combinations(m, got, outs[:20], ins[:20], 1.3)
         want = [p for p in got]
         delta = offer_join_combinations(m, got, outs[20:], ins[20:], 1.3)
@@ -374,14 +382,14 @@ class TestOfferJoinCombinations:
 
     def test_empty_inputs(self):
         m, outs, ins = self._inputs(3, 7)
-        assert offer_join_combinations(m, [], [], ins, 1.0) == 0
-        assert offer_join_combinations(m, [], outs, [], 1.0) == 0
+        assert offer_join_combinations(m, Archive(), [], ins, 1.0) == 0
+        assert offer_join_combinations(m, Archive(), outs, [], 1.0) == 0
 
     def test_alpha_below_one_rejected(self):
         m, outs, ins = self._inputs(3, 7)
         for alpha in (0.5, math.nan):
             with pytest.raises(ValueError):
-                offer_join_combinations(m, [], outs, ins, alpha)
+                offer_join_combinations(m, Archive(), outs, ins, alpha)
 
 
 _DIFF_CASES = [
@@ -473,10 +481,10 @@ def _climbed_join_inputs(model, seed):
                 continue
             start = []
             twin = model.join(node.inner, node.outer, node.join_op)
-            for p in [node, twin] + coarse.frontier(node.rel):
+            for p in [node, twin, *coarse.frontier(node.rel)]:
                 naive_prune_approx(start, p, 25.0)
             yield start, *(
-                [side] + fine.frontier(side.rel) + coarse.frontier(side.rel)
+                [side, *fine.frontier(side.rel), *coarse.frontier(side.rel)]
                 for side in (node.outer, node.inner)
             )
 
@@ -509,7 +517,7 @@ class TestOfferAdmissionDifferential:
         n_ops = len(m.catalog.join_ops)
         for alpha in self.ALPHAS:
             for start, outs, ins in _climbed_join_inputs(m, 2):
-                got = list(start)
+                got = archive_holding(start)
                 delta = offer_join_combinations(m, got, outs, ins, alpha)
                 want = list(start)
                 for o in outs:
@@ -641,7 +649,7 @@ class TestPlanCache:
     def test_frontier_starts_empty(self):
         cache = PlanCache()
         rel = 0b11
-        assert cache.frontier(rel) == []
+        assert list(cache.frontier(rel)) == []
         assert cache.stats()["keys"] == 1
 
     def test_offer_tracks_count(self):
@@ -802,6 +810,17 @@ class TestRmqOptimize:
         assert plans_before > 0
         rmq_optimize(m, Budget(max_iterations=50), seed=2, cache=cache)
         assert cache.stats()["plans"] >= plans_before
+
+    def test_shared_cache_leaves_earlier_result_alone(self):
+        # the second run replaces the cached full-set frontier; the
+        # archive the first run returned is a copy and keeps its plans
+        m = CostModel(generate_query(GenSpec(n=10, topology=Topology.CHAIN, seed=0)))
+        cache = PlanCache()
+        first = rmq_optimize(m, Budget(max_iterations=1), seed=1, cache=cache)
+        kept = [id(p) for p in first]
+        rmq_optimize(m, Budget(max_iterations=10), seed=2, cache=cache)
+        assert [id(p) for p in cache.frontier(m.full_set)] != kept
+        assert [id(p) for p in first] == kept
 
     def test_converges_to_exact_frontier(self):
         from moqo.baselines import exhaustive_frontier
