@@ -436,6 +436,46 @@ class TestNondominatedRanksDifferential:
             ]
             assert nondominated_ranks(costs) == _peeled_ranks(costs), costs
 
+    def test_deep_dominance_chains(self):
+        # a strict chain of 100+ vectors forces as many fronts; random
+        # points, copies and inf components fall between its links
+        rng = random.Random(2002)
+        for case in range(12):
+            width = case % 3 + 1
+            link = [0.0] * width
+            costs = []
+            for _ in range(rng.randint(100, 130)):
+                steps = [float(rng.randint(0, 2)) for _ in range(width)]
+                steps[rng.randrange(width)] += 1.0
+                link = [a + b for a, b in zip(link, steps)]
+                costs.append(tuple(link))
+            top = int(max(link)) + 3
+            for _ in range(rng.randint(0, 40)):
+                costs.append(
+                    tuple(
+                        math.inf if rng.random() < 0.1 else float(rng.randint(0, top))
+                        for _ in range(width)
+                    )
+                )
+            costs += [rng.choice(costs) for _ in range(rng.randint(0, 60))]
+            rng.shuffle(costs)
+            ranks = nondominated_ranks(costs)
+            assert max(ranks) >= 99
+            assert ranks == _peeled_ranks(costs), costs
+
+    def test_wide_inputs_with_copies(self):
+        # 400 rows, about 40% of them copies of earlier rows
+        rng = random.Random(1990)
+        pool = (1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 13.0, 20.0, math.inf)
+        for case in range(6):
+            width = case % 3 + 1
+            costs = [
+                tuple(rng.choice(pool) for _ in range(width)) for _ in range(240)
+            ]
+            costs += [rng.choice(costs) for _ in range(160)]
+            rng.shuffle(costs)
+            assert nondominated_ranks(costs) == _peeled_ranks(costs), costs
+
 
 class TestNsga2Pieces:
     def test_nondominated_ranks_example(self):

@@ -22,8 +22,9 @@ from moqo.baselines import (
     run_sa,
 )
 from moqo.costmodel import CostModel, Topology
+from moqo.harness import instance_model
 from moqo.optimizer import Budget, rmq_optimize
-from moqo.querygen import GenSpec, generate_query
+from moqo.querygen import GenSpec, SelectivityMode, generate_query
 
 # 2P gets a four-iteration improvement phase, so that its eight
 # iterations also cover the hand-off to annealing
@@ -195,3 +196,30 @@ def test_ii_progress_snapshots_pinned(topology, seed):
     assert snapshots[-1] == frontier_digest(archive.costs())
     digest = hashlib.sha1("\n".join(snapshots).encode()).hexdigest()
     assert (len(snapshots), digest) == II_SINK_GOLDEN[(topology, seed)]
+
+
+# NSGA-II on the experiment's shape (10-table chains, a per-seed pair of
+# metrics, 20 iterations) and on 50-table stars with all three metrics,
+# whose populations rank into 18-52 fronts.
+# (shape, seed) -> sha1 of the final frontier
+NSGA2_GOLDEN = {
+    ("chain10-2m", 0): "52e16f9f410de30311abe9df5b959a92df243017",
+    ("chain10-2m", 1): "8a2b483ad6d25925ebcb757b85d522b324594c89",
+    ("star50", 0): "5da5b38cd7e16ea459b423489562980032eeeafc",
+    ("star50", 1): "0ae19905cfd37d0da99bf8c80f3f2d4126c5f284",
+}
+
+
+@pytest.mark.parametrize("shape,seed", sorted(NSGA2_GOLDEN))
+def test_nsga2_deep_fronts_pinned(shape, seed):
+    if shape == "chain10-2m":
+        model = instance_model(
+            10, seed, Topology.CHAIN, SelectivityMode.STEINBRUNN, 2, None
+        )
+        iterations = 20
+    else:
+        spec = GenSpec(n=50, topology=Topology.STAR, seed=seed)
+        model = CostModel(generate_query(spec))
+        iterations = 5
+    archive = run_nsga2(model, Budget(max_iterations=iterations), seed=seed)
+    assert frontier_digest(archive.costs()) == NSGA2_GOLDEN[(shape, seed)]
