@@ -22,7 +22,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from operator import gt, itemgetter
+from operator import gt
 
 from .core import Archive, Plan, check_int, strictly_dominates
 from .costmodel import CostModel
@@ -329,30 +329,36 @@ def decode_genes(model: CostModel, genes: list) -> Plan:
 def nondominated_ranks(costs: list) -> list:
     """Non-dominated sort; rank 0 is the Pareto frontier.
 
-    Sequential-search ENS (Zhang et al., IEEE TEVC 2015): in
+    ENS-BS (Zhang et al., IEEE TEVC 2015) over the distinct vectors: in
     lexicographic order no vector is dominated by a later one, so each
-    vector joins the first front with no member that dominates it.
-    Vectors of different widths and nan components raise ``ValueError``.
+    vector joins the first front with no member that dominates it. That
+    front is found by bisection: a member of front k dominating c means,
+    by transitivity, a member of every earlier front does too. Copies
+    get their vector's rank. Vectors of different widths and nan
+    components raise ``ValueError``.
     """
     vecs = [tuple(c) for c in costs]
-    if any(len(c) != len(vecs[0]) or any(map(math.isnan, c)) for c in vecs):
+    distinct = sorted(set(vecs))
+    if any(len(c) != len(vecs[0]) or any(map(math.isnan, c)) for c in distinct):
         raise ValueError("cost vectors must share one width and hold no nan")
-    ranks = [0] * len(vecs)
     fronts: list = []
-    for i, c in sorted(enumerate(vecs), key=itemgetter(1)):
-        for rank, front in enumerate(fronts):
-            # newest first; f != c first, as duplicates fill NSGA-II fronts
-            for f in reversed(front):
-                if f != c and not any(map(gt, f, c)):
+    rank_of = {}
+    for c in distinct:
+        lo, hi = 0, len(fronts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            # newest first; f != c, so f dominates c iff no f[k] > c[k]
+            for f in reversed(fronts[mid]):
+                if not any(map(gt, f, c)):
+                    lo = mid + 1
                     break
             else:
-                front.append(c)
-                break
-        else:
-            rank = len(fronts)
-            fronts.append([c])
-        ranks[i] = rank
-    return ranks
+                hi = mid
+        if lo == len(fronts):
+            fronts.append([])
+        fronts[lo].append(c)
+        rank_of[c] = lo
+    return [rank_of[c] for c in vecs]
 
 
 def _crowding_distances(costs: list) -> list:
