@@ -306,13 +306,15 @@ def offer_join_combinations(
     before = len(plans)
     join_cost = model.join_cost
     fmts = [op.fmt for op in model.catalog.join_ops]
+    exact = alpha == 1.0
     for o in outs:
         obits, ocost, oc = o.rel, o.cost, o.out_card
         for i in ins:
             ibits, icost, ic = i.rel, i.cost, i.out_card
             for op, fmt in enumerate(fmts):
                 cost = join_cost(obits, ocost, oc, ibits, icost, ic, op)[0]
-                if any_within(plans, fmt, [alpha * c for c in cost]):
+                # the exact path allocates nothing, as in Archive.insert
+                if any_within(plans, fmt, cost if exact else [alpha * c for c in cost]):
                     continue
                 # join prices through join_cost, so the plan's cost is
                 # this cost bit for bit
