@@ -112,6 +112,8 @@ def _check_instances(metrics_count: int, seeds: Sequence) -> None:
         raise ValueError(f"metric count {metrics_count} outside [1, {N_METRICS}]")
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds repeat in {tuple(seeds)}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,9 @@ class ExperimentConfig:
             raise ValueError("sample_interval must be finite and > 0")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
-        for algorithm in self.algorithms:
-            _parse_algorithm(algorithm)
+        parsed = [_parse_algorithm(algorithm) for algorithm in self.algorithms]
+        if len(set(parsed)) < len(parsed):
+            raise ValueError(f"algorithm ids repeat in {self.algorithms}")
         if self.reference_mode is ReferenceMode.EXACT:
             _check_exact_reference(self.n)
 

@@ -76,6 +76,22 @@ class TestParsing:
         assert "config error" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--seeds", "0,0"),
+            ("--seeds", "0-2,1"),
+            ("--seeds", "0", "--algos", "rmq,rmq"),
+            ("--seeds", "0", "--algos", "dp:2,dp:2.0"),
+        ],
+        ids=["seed", "seed-in-range", "algorithm", "dp-factor"],
+    )
+    def test_repeats_rejected(self, capsys, flags):
+        code, out, err = run_cli(capsys, "run", "--tables", "4", "--budget-iters", "2", *flags)
+        assert code == 1
+        assert "config error" in err
+        assert out == ""
+
     def test_both_budgets_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -213,8 +229,9 @@ class TestStats:
             ("--metrics", "4"),
             ("--metrics", "0"),
             ("--tables", ","),
+            ("--seeds", "1,1"),
         ],
-        ids=["negative-iters", "metrics-4", "metrics-0", "no-tables"],
+        ids=["negative-iters", "metrics-4", "metrics-0", "no-tables", "repeated-seed"],
     )
     def test_invalid_config_rejected(self, capsys, flags):
         code, out, err = run_cli(capsys, "stats", "--seeds", "0", *flags)

@@ -213,6 +213,22 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, algorithms=())
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seeds": (0, 1, 0)},
+            {"algorithms": ("rmq", "ii", "rmq")},
+            {"algorithms": ("dp:1", "dp:1.0")},
+            {"algorithms": ("dp:inf", "dp:Infinity")},
+        ],
+        ids=["seed", "algorithm", "dp-factor", "dp-inf"],
+    )
+    def test_repeats_rejected(self, overrides):
+        # a repeated seed counts twice in every median, and a repeated
+        # algorithm's rows overwrite each other
+        with pytest.raises(ValueError, match="repeat"):
+            ExperimentConfig(n=5, **overrides)
+
     def test_resolved_lines_cover_fields(self):
         lines = ExperimentConfig(n=5).resolved_lines()
         keys = {line.split("=", 1)[0] for line in lines}
@@ -410,6 +426,7 @@ class TestClimbStats:
             {"metrics_count": 0},
             {"metrics_count": 4},
             {"seeds": ()},
+            {"seeds": (2, 2)},
             {"table_counts": ()},
             {"rmq_iterations": -2},
             {"rmq_iterations": math.nan},
@@ -420,6 +437,7 @@ class TestClimbStats:
             "metrics-0",
             "metrics-4",
             "no-seeds",
+            "repeated-seed",
             "no-tables",
             "negative-iters",
             "nan-iters",
