@@ -17,6 +17,8 @@ from typing import Sequence
 from .core import MAX_TABLES, CostVector, OutputFormat, Plan
 
 N_METRICS = 3
+# CostModel's selectivity memo cap; 8 tables have 6,050 ordered disjoint pairs
+_CROSS_SEL_ENTRIES = 8192
 
 
 class Topology(enum.Enum):
@@ -177,6 +179,10 @@ class CostModel:
     Builds plan nodes with their cached cost, output cardinality and
     format. Per-node local costs are floored at 1 in every active metric,
     and a node's total cost is local plus both children's totals.
+
+    ``join_cost`` memoizes ``cross_selectivity`` per ordered pair of table
+    sets. A miss that finds ``_CROSS_SEL_ENTRIES`` entries clears the memo
+    first, so memory stays bounded and a flushed pair is only recomputed.
     """
 
     def __init__(
@@ -230,9 +236,8 @@ class CostModel:
 
         Factors are multiplied in query edge order, so the result is
         bit-identical to a plain scan over ``query.edges``. Overlapping
-        sets raise ``ValueError``. The result is recorded for both
-        argument orders in the pair memo that ``join`` reads first; this
-        method itself always computes.
+        sets raise ``ValueError``. A pure function of the pair: it always
+        computes and records nothing; ``join_cost`` keeps the memo.
         """
         if lbits & rbits:
             raise ValueError(
@@ -259,8 +264,6 @@ class CostModel:
             if ends[e] & other:
                 sel *= sels[e]
             touching ^= low
-        self._cross_sel[(lbits, rbits)] = sel
-        self._cross_sel[(rbits, lbits)] = sel
         return sel
 
     def leaf(self, table: int, scan_op: int) -> Plan:
@@ -311,8 +314,13 @@ class CostModel:
         # same float (ties and nan included) at a tenth of the cost.
         cs = self._cross_sel.get((obits, ibits))
         if cs is None:
-            # overlapping sets are never memoized, so they land here
+            # overlapping sets are never memoized, so they land here and
+            # raise; a full memo is cleared before the pair is recorded
             cs = self.cross_selectivity(obits, ibits)
+            memo = self._cross_sel
+            if len(memo) >= _CROSS_SEL_ENTRIES:
+                memo.clear()
+            memo[(obits, ibits)] = memo[(ibits, obits)] = cs
         out = oc * ic * cs
         kind, _, loop_factor, buffer_pages = self._join_specs[join_op]
         if kind == "nested_loop":

@@ -6,6 +6,8 @@ import struct
 
 import pytest
 
+from moqo import costmodel
+from moqo.baselines import dp_frontier, run_ii, run_nsga2
 from moqo.core import MAX_TABLES, OutputFormat
 from moqo.costmodel import (
     CostModel,
@@ -19,7 +21,7 @@ from moqo.costmodel import (
     materializing_catalog,
     topology_edges,
 )
-from moqo.optimizer import random_plan
+from moqo.optimizer import Budget, random_plan, rmq_optimize
 from moqo.querygen import GenSpec, generate_query
 from reference import join_local_cost, plan_cost, plan_nodes, weakly_dominates
 
@@ -432,3 +434,57 @@ class TestMonotonicity:
             spliced = _splice(m, p, target, replacement)
             assert weakly_dominates(spliced.cost, p.cost)
             checked += 1
+
+
+def _hex_costs(costs):
+    """Sorted cost vectors with every float in exact hex form."""
+    return sorted(tuple(v.hex() for v in cost) for cost in costs)
+
+
+def _model(n, topology, seed):
+    return CostModel(generate_query(GenSpec(n=n, topology=topology, seed=seed)))
+
+
+def _memo_cases():
+    """Per case, the exact hex costs of one fresh run and its model."""
+    for n, seed in ((8, 0), (50, 1)):
+        m = _model(n, Topology.STAR, seed)
+        yield _hex_costs(rmq_optimize(m, Budget(max_iterations=3), seed=seed).costs()), m
+    for runner in (run_ii, run_nsga2):
+        m = _model(10, Topology.CHAIN, 2)
+        yield _hex_costs(runner(m, Budget(max_iterations=3), seed=2).costs()), m
+    m = _model(7, Topology.CYCLE, 3)
+    yield _hex_costs(dp_frontier(m, 1.0).costs()), m
+    m = _model(128, Topology.STAR, 4)
+    rng = random.Random(4)
+    plans = [random_plan(m, rng) for _ in range(5)]
+    for p in plans:
+        assert _bits(plan_cost(m, p)) == _bits(p.cost)
+    yield _hex_costs(p.cost for p in plans), m
+
+
+class TestCrossSelectivityMemoBound:
+    def test_tiny_cap_gives_identical_costs(self, monkeypatch):
+        # a memo of 2 entries flushes on nearly every miss; a flushed
+        # pair is only recomputed, so no cost may move by a bit
+        default = [costs for costs, _ in _memo_cases()]
+        monkeypatch.setattr(costmodel, "_CROSS_SEL_ENTRIES", 2)
+        tiny = list(_memo_cases())
+        assert [costs for costs, _ in tiny] == default
+        assert all(len(m._cross_sel) <= 2 for _, m in tiny)
+
+    def test_memo_stays_within_cap_on_a_long_run(self):
+        # models of up to 8 tables hold every ordered disjoint pair
+        # (3**8 - 2**9 + 1 of them at 8 tables) and never flush
+        assert costmodel._CROSS_SEL_ENTRIES > 3**8 - 2**9 + 1
+        m = _model(100, Topology.CHAIN, 0)
+        sizes = []
+
+        def sink(elapsed, frontier):
+            sizes.append(len(m._cross_sel))
+            assert sizes[-1] <= costmodel._CROSS_SEL_ENTRIES
+
+        rmq_optimize(m, Budget(max_iterations=10), seed=0, progress_sink=sink)
+        assert len(sizes) == 10
+        # the run crosses the cap, so the memo shrinks at least once
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
