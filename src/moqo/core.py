@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from operator import gt
-from typing import Iterator, Sequence
+from typing import Iterator
 
 # largest table count a query may have
 MAX_TABLES = 128
@@ -51,65 +51,6 @@ def strictly_dominates(c1: CostVector, c2: CostVector) -> bool:
         if a < b:
             strict = True
     return strict
-
-
-def any_within(entries: list, fmt: OutputFormat, limit: Sequence) -> bool:
-    """True iff some entry of format ``fmt`` costs at most ``limit`` in
-    every metric (``entry.cost[k] <= limit[k]`` for every k), in one scan
-    of the list.
-
-    Pass the newcomer's cost to test whether an entry weakly dominates
-    it, or ``alpha * c`` per metric ``c`` to test whether an entry
-    alpha-approximately dominates it. Raises ``ValueError`` on a
-    same-format entry of another length.
-    """
-    # every test is a > b, never a <= b, so a nan never blocks dominance
-    n = len(limit)
-    if n == 3:
-        # all three metrics, the default: unrolled, and the unpacking
-        # raises ValueError on a length mismatch
-        l0, l1, l2 = limit
-        for old in entries:
-            if old.fmt is fmt:
-                a, b, c = old.cost
-                if not (a > l0 or b > l1 or c > l2):
-                    return True
-        return False
-    for old in entries:
-        if old.fmt is fmt:
-            cost = old.cost
-            if len(cost) != n:
-                _check_lengths(cost, limit)
-            if not any(map(gt, cost, limit)):
-                return True
-    return False
-
-
-def drop_dominated(entries: list, fmt: OutputFormat, cost: CostVector) -> None:
-    """Remove from the list, in place, every entry of format ``fmt`` that
-    costs at least ``cost`` in every metric (``cost[k] <= entry.cost[k]``
-    for every k); the rest keep their order. Raises
-    ``ValueError`` on a same-format entry of another length."""
-    n = len(cost)
-    doomed = []
-    if n == 3:
-        # unrolled as in any_within
-        c0, c1, c2 = cost
-        for old in entries:
-            if old.fmt is fmt:
-                a, b, c = old.cost
-                if not (c0 > a or c1 > b or c2 > c):
-                    doomed.append(old)
-    else:
-        for old in entries:
-            if old.fmt is fmt:
-                other = old.cost
-                if len(other) != n:
-                    _check_lengths(cost, other)
-                if not any(map(gt, cost, other)):
-                    doomed.append(old)
-    if doomed:
-        entries[:] = [old for old in entries if old not in doomed]
 
 
 class Plan:
@@ -169,6 +110,12 @@ class Plan:
         return f"({self.outer!r} >< {self.inner!r})/j{self.join_op}"
 
 
+def _scaled(cost: CostVector, alpha: float) -> list:
+    # a function of its own: a comprehension reading alpha in admit makes
+    # alpha a closure cell there, one allocation per call before Python 3.12
+    return [alpha * c for c in cost]
+
+
 class Archive:
     """A frontier: plans that are mutually non-dominated within each format.
 
@@ -189,18 +136,70 @@ class Archive:
     def __iter__(self) -> Iterator[Plan]:
         return iter(self.entries)
 
+    def admit(self, fmt: OutputFormat, cost: CostVector, alpha: float = 1.0) -> bool:
+        """The one admission rule, for a candidate of format ``fmt`` and
+        cost ``cost`` at factor ``alpha`` >= 1.
+
+        Returns False, with the archive unchanged, if some same-format
+        entry costs at most ``alpha`` times ``cost`` in every metric.
+        Otherwise removes every same-format entry that ``cost``
+        weakly dominates (the rest keep their order) and returns True;
+        the caller then appends the plan. Raises ``ValueError`` on a
+        same-format entry of another length.
+        """
+        if alpha == 1.0:
+            # the exact path allocates nothing
+            limit = cost
+        elif alpha > 1.0:
+            limit = _scaled(cost, alpha)
+        else:
+            # below 1 or nan
+            raise ValueError(f"approximation factor must be >= 1, got {alpha}")
+        entries = self.entries
+        # most candidates are rejected, so the reject scan runs alone
+        # first; every test is a > b, never a <= b, so a nan never blocks
+        # dominance
+        n = len(cost)
+        if n == 3:
+            # all three metrics, the default: unrolled, and the unpacking
+            # raises ValueError on a length mismatch
+            l0, l1, l2 = limit
+            for old in entries:
+                if old.fmt is fmt:
+                    a, b, c = old.cost
+                    if not (a > l0 or b > l1 or c > l2):
+                        return False
+        else:
+            for old in entries:
+                if old.fmt is fmt:
+                    other = old.cost
+                    if len(other) != n:
+                        _check_lengths(other, cost)
+                    if not any(map(gt, other, limit)):
+                        return False
+        # the reject scan checked every same-format length
+        doomed = []
+        if n == 3:
+            c0, c1, c2 = cost
+            for old in entries:
+                if old.fmt is fmt:
+                    a, b, c = old.cost
+                    if not (c0 > a or c1 > b or c2 > c):
+                        doomed.append(old)
+        else:
+            for old in entries:
+                if old.fmt is fmt and not any(map(gt, cost, old.cost)):
+                    doomed.append(old)
+        # a loop, not a comprehension, so that doomed is no closure cell
+        for old in doomed:
+            entries.remove(old)
+        return True
+
     def insert(self, plan: Plan, alpha: float = 1.0) -> bool:
         """Offer a plan, admitted at factor ``alpha`` >= 1; returns True
         iff it was added."""
-        cost = plan.cost
-        fmt = plan.fmt
-        if not alpha >= 1.0:
-            raise ValueError(f"approximation factor must be >= 1, got {alpha}")
-        # the exact path allocates nothing
-        limit = cost if alpha == 1.0 else [alpha * c for c in cost]
-        if any_within(self.entries, fmt, limit):
+        if not self.admit(plan.fmt, plan.cost, alpha):
             return False
-        drop_dominated(self.entries, fmt, cost)
         self.entries.append(plan)
         return True
 

@@ -32,6 +32,8 @@ from .querygen import GenSpec, SelectivityMode, generate_query
 
 BASE_ALGORITHMS = ("rmq", "ii", "sa", "2p", "nsga2")
 MAX_EXACT_REFERENCE_TABLES = 7
+# largest sample grid of one (seed, algorithm) cell
+_MAX_GRID_MARKS = 100_000
 
 
 class ReferenceMode(enum.Enum):
@@ -144,6 +146,10 @@ class ExperimentConfig:
             check_int("budget_iters", self.budget_iters, 0)
         if not 0 < self.sample_interval < math.inf:
             raise ValueError("sample_interval must be finite and > 0")
+        if self.grid_end() / self.sample_interval > _MAX_GRID_MARKS:
+            raise ValueError(
+                f"sample grid exceeds {_MAX_GRID_MARKS} marks; raise sample_interval"
+            )
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
         parsed = [_parse_algorithm(algorithm) for algorithm in self.algorithms]
@@ -422,12 +428,13 @@ class ClimbStatsConfig:
     metrics_count: int = N_METRICS
     seeds: tuple = tuple(range(20))
     rmq_iterations: int = 0
-    catalog: OperatorCatalog | None = None
 
     def __post_init__(self) -> None:
         _check_instances(self.metrics_count, self.seeds)
         if not self.table_counts:
             raise ValueError("need at least one table count")
+        if len(set(self.table_counts)) < len(self.table_counts):
+            raise ValueError(f"table counts repeat in {tuple(self.table_counts)}")
         check_int("rmq_iterations", self.rmq_iterations, 0)
 
 
@@ -445,9 +452,7 @@ def climb_stats(cfg: ClimbStatsConfig) -> list:
         paths = []
         sizes = []
         for seed in cfg.seeds:
-            model = instance_model(
-                n, seed, cfg.topology, cfg.selectivity_mode, cfg.metrics_count, cfg.catalog
-            )
+            model = instance_model(n, seed, cfg.topology, cfg.selectivity_mode, cfg.metrics_count)
             rng = random.Random(seed)
             paths.append(pareto_climb(model, random_plan(model, rng)).path_length)
             if cfg.rmq_iterations > 0:

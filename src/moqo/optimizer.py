@@ -17,14 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .core import (
-    Archive,
-    Plan,
-    any_within,
-    check_int,
-    drop_dominated,
-    strictly_dominates,
-)
+from .core import Archive, Plan, check_int, strictly_dominates
 from .costmodel import CostModel
 
 
@@ -298,28 +291,26 @@ def offer_join_combinations(
 
     Semantically identical to calling ``archive.insert(plan, alpha)``
     once per combination. Each combination is priced with
-    ``CostModel.join_cost`` and built only once admitted.
+    ``CostModel.join_cost`` and built only once ``Archive.admit``
+    admits it.
     """
+    # checked here as well, so that an empty product rejects it too
     if not alpha >= 1.0:
         raise ValueError(f"approximation factor must be >= 1, got {alpha}")
     plans = archive.entries
     before = len(plans)
+    admit = archive.admit
     join_cost = model.join_cost
     fmts = [op.fmt for op in model.catalog.join_ops]
-    exact = alpha == 1.0
     for o in outs:
         obits, ocost, oc = o.rel, o.cost, o.out_card
         for i in ins:
             ibits, icost, ic = i.rel, i.cost, i.out_card
             for op, fmt in enumerate(fmts):
-                cost = join_cost(obits, ocost, oc, ibits, icost, ic, op)[0]
-                # the exact path allocates nothing, as in Archive.insert
-                if any_within(plans, fmt, cost if exact else [alpha * c for c in cost]):
-                    continue
                 # join prices through join_cost, so the plan's cost is
                 # this cost bit for bit
-                drop_dominated(plans, fmt, cost)
-                plans.append(model.join(o, i, op))
+                if admit(fmt, join_cost(obits, ocost, oc, ibits, icost, ic, op)[0], alpha):
+                    plans.append(model.join(o, i, op))
     return len(plans) - before
 
 

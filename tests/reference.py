@@ -1,8 +1,7 @@
 """Plain reference spellings that the tests compare the package against.
 
 The package computes these rules in fused or hand-inlined forms (the
-admission scan in ``core.any_within`` and ``core.drop_dominated``, the
-join formula in ``CostModel.join_cost``, the nested-list shapes of
+admission rule in ``core.Archive.admit``, the join formula in ``CostModel.join_cost``, the nested-list shapes of
 ``optimizer.random_plan``); the spellings here state each rule once,
 directly, so bit-exact and differential tests can check the fast forms
 against them. Nothing in ``moqo`` calls them.

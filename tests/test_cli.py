@@ -92,6 +92,17 @@ class TestParsing:
         assert "config error" in err
         assert out == ""
 
+    def test_oversized_sample_grid_rejected(self, capsys):
+        # one mark over the bound, with a DP run that is cheap even
+        # where the grid is built
+        code, out, err = run_cli(
+            capsys, "run", "--tables", "4", "--budget-iters", "100001", "--sample-ms", "1",
+            "--seeds", "0", "--algos", "dp:1",
+        )
+        assert code == 1
+        assert "config error" in err
+        assert out == ""
+
     def test_both_budgets_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -230,8 +241,18 @@ class TestStats:
             ("--metrics", "0"),
             ("--tables", ","),
             ("--seeds", "1,1"),
+            ("--tables", "3,3"),
+            ("--seeds", "0-1", "--tables", "3,4,3"),
         ],
-        ids=["negative-iters", "metrics-4", "metrics-0", "no-tables", "repeated-seed"],
+        ids=[
+            "negative-iters",
+            "metrics-4",
+            "metrics-0",
+            "no-tables",
+            "repeated-seed",
+            "repeated-table-count",
+            "repeated-table-count-two-seeds",
+        ],
     )
     def test_invalid_config_rejected(self, capsys, flags):
         code, out, err = run_cli(capsys, "stats", "--seeds", "0", *flags)

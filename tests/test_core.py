@@ -279,6 +279,54 @@ class TestArchive:
                 assert arc.insert(plan) == naive_insert(want, plan)
                 assert [id(p) for p in arc] == [id(p) for p in want]
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, math.inf])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_admit_matches_reference(self, width, alpha):
+        # admit against the reference dominance tests; few distinct values
+        # force exact ties, and inf and nan pin the float semantics
+        rng = random.Random(f"admit-{width}-{alpha}")
+        pool = [1.0, 2.0, 3.0, 4.0] * 3 + [math.inf, math.nan]
+        formats = [OutputFormat.PIPELINED, OutputFormat.MATERIALIZED]
+        rejected = 0
+        for _ in range(100):
+            arc = Archive()
+            entries = arc.entries
+            want = []
+            for i in range(40):
+                fmt = rng.choice(formats)
+                cost = tuple(rng.choice(pool) for _ in range(width))
+                before = list(entries)
+                admitted = arc.admit(fmt, cost, alpha)
+                assert entries is arc.entries
+                if any(
+                    old.fmt is fmt and approx_dominates(old.cost, cost, alpha)
+                    for old in want
+                ):
+                    assert not admitted
+                    rejected += 1
+                    assert len(entries) == len(before)
+                    assert all(a is b for a, b in zip(entries, before))
+                    continue
+                assert admitted
+                want = [
+                    old
+                    for old in want
+                    if not (old.fmt is fmt and weakly_dominates(cost, old.cost))
+                ]
+                assert [id(p) for p in entries] == [id(p) for p in want]
+                plan = make_leaf(i % MAX_TABLES, cost=cost, fmt=fmt)
+                entries.append(plan)
+                want.append(plan)
+        assert rejected > 0
+
+    def test_admit_alpha_below_one_rejected(self):
+        arc = Archive()
+        arc.insert(make_leaf(0, cost=(1.0, 2.0)))
+        for alpha in (0.5, math.nan):
+            with pytest.raises(ValueError):
+                arc.admit(OutputFormat.PIPELINED, (2.0, 3.0), alpha)
+        assert arc.costs() == [(1.0, 2.0)]
+
     def test_length_mismatch_rejected(self):
         for other in ((1.0,), (1.0, 2.0, 3.0)):
             arc = Archive()

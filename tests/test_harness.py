@@ -229,6 +229,24 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="repeat"):
             ExperimentConfig(n=5, **overrides)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"budget_ms": 3000, "sample_interval": 1e-9},
+            {"budget_ms": 100_000.5, "sample_interval": 1.0},
+            {"budget_ms": None, "budget_iters": 10**6, "sample_interval": 1.0},
+        ],
+        ids=["tiny-interval", "ms-just-over", "iters"],
+    )
+    def test_oversized_sample_grid_rejected(self, overrides):
+        # only the config is built, never the grid
+        with pytest.raises(ValueError, match="sample grid"):
+            ExperimentConfig(n=4, **overrides)
+
+    def test_sample_grid_bound_inclusive(self):
+        ExperimentConfig(n=4, budget_ms=100_000.0, sample_interval=1.0)
+        ExperimentConfig(n=4, budget_ms=None, budget_iters=100_000, sample_interval=1.0)
+
     def test_resolved_lines_cover_fields(self):
         lines = ExperimentConfig(n=5).resolved_lines()
         keys = {line.split("=", 1)[0] for line in lines}
@@ -428,6 +446,7 @@ class TestClimbStats:
             {"seeds": ()},
             {"seeds": (2, 2)},
             {"table_counts": ()},
+            {"table_counts": (3, 3)},
             {"rmq_iterations": -2},
             {"rmq_iterations": math.nan},
             {"rmq_iterations": 2.5},
@@ -439,6 +458,7 @@ class TestClimbStats:
             "no-seeds",
             "repeated-seed",
             "no-tables",
+            "repeated-table-count",
             "negative-iters",
             "nan-iters",
             "float-iters",

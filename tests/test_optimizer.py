@@ -391,6 +391,15 @@ class TestOfferJoinCombinations:
             with pytest.raises(ValueError):
                 offer_join_combinations(m, Archive(), outs, ins, alpha)
 
+    def test_alpha_below_one_rejected_without_combinations(self):
+        # no combination reaches Archive.admit, so the factor is checked
+        # before the loop
+        m, outs, ins = self._inputs(3, 7)
+        for alpha in (0.5, math.nan):
+            for o, i in (([], ins), (outs, []), ([], [])):
+                with pytest.raises(ValueError):
+                    offer_join_combinations(m, Archive(), o, i, alpha)
+
 
 _DIFF_CASES = [
     (n, topology)
