@@ -1,8 +1,8 @@
 """Benchmark orchestration and quality measurement.
 
-Runs the competing optimizers on generated query instances, snapshots
-their result sets on a shared time or iteration grid, scores every
-snapshot against a reference frontier with the multiplicative epsilon
+Runs the competing optimizers on generated query instances, records
+their frontiers at the marks of a shared time or iteration grid, scores
+every mark against a reference frontier with the multiplicative epsilon
 indicator, and emits plot-ready CSV files.
 """
 
@@ -231,19 +231,21 @@ def _parse_algorithm(token: str):
 
 
 class _Sampler:
-    """Collects (axis position, cost-set) snapshots during one run.
+    """Fills one cell's sample grid with a cost set per mark.
 
     The axis is wall-clock milliseconds for deadline budgets and the
     iteration counter for iteration budgets, which keeps iteration-budget
-    experiments bit-reproducible.
+    experiments bit-reproducible. A mark holds the frontier of the last
+    progress call at or before it, the empty set before the first call;
+    ``finalize`` gives the marks after the last call the returned archive.
     """
 
-    def __init__(self, interval: float, by_iterations: bool) -> None:
-        self.snapshots: list = []
-        self._interval = interval
+    def __init__(self, marks: list, by_iterations: bool) -> None:
+        self.mark_costs: list = []
+        self._marks = marks
         self._by_iterations = by_iterations
         self._iterations = 0
-        self._next = interval
+        self._last: tuple = ()
 
     def __call__(self, elapsed_s: float, plans: list) -> None:
         if self._by_iterations:
@@ -251,13 +253,14 @@ class _Sampler:
             position = float(self._iterations)
         else:
             position = elapsed_s * 1000.0
-        if position >= self._next:
-            self.snapshots.append((position, tuple(p.cost for p in plans)))
-            steps = math.floor(position / self._interval) + 1
-            self._next = steps * self._interval
+        filled, marks = self.mark_costs, self._marks
+        while len(filled) < len(marks) and marks[len(filled)] < position:
+            filled.append(self._last)
+        self._last = tuple(p.cost for p in plans)
 
-    def finalize(self, end: float, archive: Archive) -> None:
-        self.snapshots.append((end, tuple(archive.costs())))
+    def finalize(self, archive: Archive) -> None:
+        final = tuple(archive.costs())
+        self.mark_costs.extend([final] * (len(self._marks) - len(self.mark_costs)))
 
 
 def _run_one(
@@ -265,29 +268,23 @@ def _run_one(
 ) -> tuple:
     """Execute one (algorithm, seed) cell; returns (archive, sampler)."""
     kind, dp_alpha = _parse_algorithm(algorithm)
-    sampler = _Sampler(cfg.sample_interval, cfg.by_iterations)
+    sampler = _Sampler(_grid(cfg), cfg.by_iterations)
     budget = cfg.budget()
-    end = cfg.grid_end()
     if kind == "dp":
         started = time.perf_counter()
-        deadline = None if cfg.by_iterations else budget.deadline_s
-        result = dp_frontier(model, dp_alpha, deadline_s=deadline)
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        result = dp_frontier(model, dp_alpha, deadline_s=budget.deadline_s)
         archive = result if result is not None else Archive()
-        if result is not None:
-            position = 1.0 if cfg.by_iterations else min(elapsed_ms, end)
-            sampler.snapshots.append((position, tuple(archive.costs())))
-            sampler.finalize(end, archive)
-        return archive, sampler
-    runner: Callable = {
-        "rmq": rmq_optimize,
-        "ii": run_ii,
-        "sa": run_sa,
-        "2p": run_2p,
-        "nsga2": run_nsga2,
-    }[kind]
-    archive = runner(model, budget, seed=seed, progress_sink=sampler)
-    sampler.finalize(end, archive)
+        sampler(time.perf_counter() - started, archive.entries)
+    else:
+        runner: Callable = {
+            "rmq": rmq_optimize,
+            "ii": run_ii,
+            "sa": run_sa,
+            "2p": run_2p,
+            "nsga2": run_nsga2,
+        }[kind]
+        archive = runner(model, budget, seed=seed, progress_sink=sampler)
+    sampler.finalize(archive)
     return archive, sampler
 
 
@@ -303,11 +300,13 @@ def _grid(cfg: ExperimentConfig) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple:
-    """Run every (seed, algorithm) cell and score snapshots.
+    """Run every (seed, algorithm) cell and score it on the sample grid.
 
-    Returns (samples, aggregates): per-cell grid rows with last-value
-    carry-forward, and per-(algorithm, grid mark) medians over seeds.
-    Writes CSV files when the config names an output path.
+    Returns (samples, aggregates): per-cell grid rows, each mark scoring
+    the frontier of the cell's last progress call at or before it (the
+    returned archive after the last call), and per-(algorithm, grid mark)
+    medians over seeds. Writes CSV files when the config names an output
+    path.
     """
     marks = _grid(cfg)
     samples: list = []
@@ -324,8 +323,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
             cell_samplers[algorithm] = sampler
         reference = build_reference(model, cell_results, cfg.reference_mode)
         for algorithm in cfg.algorithms:
-            snapshots = cell_samplers[algorithm].snapshots
-            errors = _carry_forward(snapshots, marks, reference)
+            errors = _carry_forward(cell_samplers[algorithm].mark_costs, reference)
             per_cell_errors[(algorithm, seed)] = errors
             for mark, error in zip(marks, errors):
                 samples.append(SamplePoint(algorithm, seed, mark, error))
@@ -342,24 +340,16 @@ def run_experiment(cfg: ExperimentConfig) -> tuple:
     return samples, aggregates
 
 
-def _carry_forward(snapshots: list, marks: list, reference: list) -> list:
-    """Score the most recent snapshot at every grid mark; +inf before the
-    first snapshot. Scores are memoized per snapshot index."""
+def _carry_forward(mark_costs: list, reference: list) -> list:
+    """The error of each mark's cost set, +inf for the empty set. A set
+    repeated over consecutive marks is scored once."""
     errors = []
-    cached: dict = {}
-    idx = -1
-    for mark in marks:
-        while idx + 1 < len(snapshots) and snapshots[idx + 1][0] <= mark:
-            idx += 1
-        if idx < 0:
-            errors.append(math.inf)
-            continue
-        if idx not in cached:
-            costs = snapshots[idx][1]
-            cached[idx] = (
-                epsilon_indicator(costs, reference) if costs else math.inf
-            )
-        errors.append(cached[idx])
+    scored = None
+    for costs in mark_costs:
+        if costs != scored:
+            scored = costs
+            error = epsilon_indicator(costs, reference) if costs else math.inf
+        errors.append(error)
     return errors
 
 

@@ -122,8 +122,11 @@ def mutations(model: CostModel, plan: Plan) -> list:
             if op != plan.scan_op:
                 out.append(model.leaf(plan.table, op))
         return out
-    moves = root_moves(model, plan.outer, plan.inner, plan.join_op)
-    return [plan] + [build_move(model, move) for move in moves]
+    # a loop, not a comprehension, so that model is no closure cell
+    out = [plan]
+    for move in root_moves(model, plan.outer, plan.inner, plan.join_op):
+        out.append(build_move(model, move))
+    return out
 
 
 def pareto_step(model: CostModel, plan: Plan, memo: dict) -> list:
@@ -160,11 +163,12 @@ def pareto_step(model: CostModel, plan: Plan, memo: dict) -> list:
             second = cand
         elif strictly_dominates(cost, second[1]):
             second = cand
-    result = [
-        slot[2] if slot[2].__class__ is Plan else build_move(model, slot[2])
-        for slot in (first, second)
-        if slot is not None
-    ]
+    # a loop, not a comprehension, so that model is no closure cell
+    result = []
+    for slot in (first, second):
+        if slot is not None:
+            won = slot[2]
+            result.append(won if won.__class__ is Plan else build_move(model, won))
     memo[plan] = result
     return result
 

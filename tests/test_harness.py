@@ -3,10 +3,18 @@
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from moqo.baselines import dp_frontier, exhaustive_frontier, run_ii
+from moqo.baselines import (
+    dp_frontier,
+    exhaustive_frontier,
+    run_2p,
+    run_ii,
+    run_nsga2,
+    run_sa,
+)
 from moqo.core import Archive, OutputFormat
 from moqo.costmodel import CostModel, Topology, default_catalog
 from moqo.harness import (
@@ -14,14 +22,16 @@ from moqo.harness import (
     ExperimentConfig,
     ReferenceMode,
     SamplePoint,
+    _Sampler,
     build_reference,
     climb_stats,
     epsilon_indicator,
+    instance_model,
     parse_catalog_spec,
     read_samples_csv,
     run_experiment,
 )
-from moqo.optimizer import Budget
+from moqo.optimizer import Budget, rmq_optimize
 from moqo.querygen import GenSpec, SelectivityMode, generate_query
 
 
@@ -374,8 +384,42 @@ class TestRunExperiment:
         )
         samples, aggregates = run_experiment(cfg)
         assert {s.elapsed_ms for s in samples} == {40.0, 80.0}
-        finals = [s for s in samples if s.elapsed_ms == 80.0]
-        assert all(s.alpha_error < math.inf for s in finals)
+        # one iteration at n=4 takes well under a millisecond, so both
+        # marks read a finished iteration
+        assert all(s.alpha_error < math.inf for s in samples)
+
+    def test_fractional_marks_read_the_last_iteration_before_them(self):
+        runners = {
+            "rmq": rmq_optimize,
+            "ii": run_ii,
+            "sa": run_sa,
+            "2p": run_2p,
+            "nsga2": run_nsga2,
+        }
+        cfg = ExperimentConfig(
+            n=5,
+            metrics_count=2,
+            algorithms=(*runners, "dp:1.5"),
+            budget_ms=None,
+            budget_iters=10,
+            sample_interval=2.5,
+            seeds=(0, 1),
+            reference_mode=ReferenceMode.EXACT,
+        )
+        samples, _ = run_experiment(cfg)
+        at_mark = {(s.algorithm, s.seed): s.alpha_error for s in samples if s.elapsed_ms == 2.5}
+        for seed in cfg.seeds:
+            model = instance_model(cfg.n, seed, metrics_count=cfg.metrics_count)
+            reference = dp_frontier(model, 1.01).costs()
+            frontiers = {
+                name: run(model, Budget(max_iterations=2), seed=seed)
+                for name, run in runners.items()
+            }
+            frontiers["dp:1.5"] = dp_frontier(model, 1.5)
+            for algorithm, archive in frontiers.items():
+                error = at_mark[(algorithm, seed)]
+                assert error < math.inf
+                assert error == epsilon_indicator(archive.costs(), reference)
 
     def test_write_failure_has_path_context(self, tmp_path):
         cfg = small_iteration_config(
@@ -384,6 +428,41 @@ class TestRunExperiment:
         with pytest.raises(OSError) as err:
             run_experiment(cfg)
         assert "missing_dir" in str(err.value)
+
+
+class TestSampler:
+    """Synthetic progress calls on the millisecond grid 10, 20, 30."""
+
+    A, B, C, D = ((1.0,),), ((2.0,),), ((3.0,),), ((4.0,),)
+
+    @staticmethod
+    def _sampled(calls, returned):
+        """Mark cost sets after (ms, cost set) progress calls and a run
+        returning the cost set ``returned``."""
+        sampler = _Sampler([10.0, 20.0, 30.0], by_iterations=False)
+        for position_ms, costs in calls:
+            sampler(position_ms / 1000.0, [SimpleNamespace(cost=c) for c in costs])
+        sampler.finalize(SimpleNamespace(costs=lambda: list(returned)))
+        return sampler.mark_costs
+
+    def test_call_on_a_mark_is_read_at_that_mark(self):
+        got = self._sampled([(10.0, self.A), (25.0, self.B)], self.C)
+        assert got == [self.A, self.A, self.C]
+
+    def test_mark_takes_the_last_of_several_calls(self):
+        calls = [(11.0, self.A), (15.0, self.B), (19.0, self.C), (24.0, self.D)]
+        assert self._sampled(calls, self.D) == [(), self.C, self.D]
+
+    def test_no_calls_read_the_empty_set(self):
+        assert self._sampled([], ()) == [(), (), ()]
+
+    def test_marks_after_an_early_stop_take_the_returned_archive(self):
+        got = self._sampled([(5.0, self.A), (12.0, self.B)], self.C)
+        assert got == [self.A, self.C, self.C]
+
+    def test_call_past_the_grid_end(self):
+        calls = [(5.0, self.A), (28.0, self.B), (31.0, self.C)]
+        assert self._sampled(calls, self.D) == [self.A, self.A, self.B]
 
 
 class TestReadSamplesCsv:

@@ -606,6 +606,11 @@ class TestParetoStep:
                 break
             plan = adopted
 
+    @pytest.mark.parametrize("fn", [pareto_step, mutations])
+    def test_climb_functions_hold_no_closure_cells(self, fn):
+        # a cell would cost one allocation per call, memo hits included
+        assert fn.__code__.co_cellvars == ()
+
 
 class TestParetoClimb:
     def test_buffer_only_commutation_walkthrough(self):
