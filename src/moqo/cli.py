@@ -68,8 +68,6 @@ def _parse_seeds(raw: str) -> tuple:
                 seeds.append(int(token))
             except ValueError as exc:
                 raise _ConfigError(f"bad seed {token!r}") from exc
-    if not seeds:
-        raise _ConfigError("no seeds given")
     return tuple(seeds)
 
 
@@ -167,18 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "tables": int,
-    "topology": str,
-    "selectivity": str,
-    "metrics": int,
-    "algos": str,
-    "budget_ms": float,
-    "budget_iters": int,
-    "sample_ms": float,
-    "seeds": str,
-    "reference": str,
-    "out": str,
+# config section -> key -> parser of its raw value
+_CONFIG_SECTIONS = {
+    "experiment": dict(
+        tables=int, topology=str, selectivity=str, metrics=int, algos=str,
+        budget_ms=float, budget_iters=int, sample_ms=float, seeds=str,
+        reference=str, out=str,
+    ),
+    "catalog": {"scan_ops": str, "join_ops": str},
 }
 
 
@@ -191,20 +185,27 @@ def _load_config_file(path: str) -> dict:
         raise _ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise _ConfigError(f"malformed config file {path!r}: {exc}") from exc
+    # configparser merges [DEFAULT] into every section; some section must read each key
+    defaults = parser.defaults()
     out: dict = {}
-    if parser.has_section("experiment"):
-        for key, raw in parser.items("experiment"):
-            if key not in _CONFIG_KEYS:
-                raise _ConfigError(f"unknown config key {key!r} in {path!r}")
-            try:
-                out[key] = _CONFIG_KEYS[key](raw)
-            except ValueError as exc:
-                raise _ConfigError(f"bad value for {key!r} in {path!r}: {raw}") from exc
+    for section in parser.sections():
+        keys = _CONFIG_SECTIONS.get(section)
+        if keys is None:
+            raise _ConfigError(f"unknown config section [{section}] in {path!r}")
+        for key, raw in parser.items(section):
+            if key in keys:
+                try:
+                    out[key] = keys[key](raw)
+                except ValueError as exc:
+                    raise _ConfigError(f"bad value for {key!r} in {path!r}: {raw}") from exc
+            elif key not in defaults:
+                raise _ConfigError(f"unknown config key {key!r} in [{section}] of {path!r}")
+    for key in defaults:
+        if key not in out:
+            raise _ConfigError(f"no section reads [DEFAULT] key {key!r} in {path!r}")
     if parser.has_section("catalog"):
-        scans = parser.get("catalog", "scan_ops", fallback="")
-        joins = parser.get("catalog", "join_ops", fallback="")
         try:
-            out["catalog"] = parse_catalog_spec(scans, joins)
+            out["catalog"] = parse_catalog_spec(out.pop("scan_ops", ""), out.pop("join_ops", ""))
         except (ValueError, KeyError) as exc:
             raise _ConfigError(f"bad catalog in {path!r}: {exc}") from exc
     return out
@@ -248,7 +249,7 @@ def _fields(values: dict) -> dict:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     values = _load_config_file(args.config) if args.config else {}
-    values.update(_given(args, _CONFIG_KEYS))
+    values.update(_given(args, _CONFIG_SECTIONS["experiment"]))
     # run's own rules: a table count default, and no time budget when
     # only an iteration budget is given
     n = values.pop("tables", _RUN_TABLES)

@@ -19,6 +19,8 @@ from .core import MAX_TABLES, CostVector, OutputFormat, Plan
 N_METRICS = 3
 # CostModel's selectivity memo cap; 8 tables have 6,050 ordered disjoint pairs
 _CROSS_SEL_ENTRIES = 8192
+# join kind -> the JoinOp field its catalog token's coefficient sets
+JOIN_KINDS = {"nested_loop": "loop_factor", "hash": None, "sort_merge": "buffer_pages"}
 
 
 class Topology(enum.Enum):
@@ -122,7 +124,7 @@ class JoinOp:
     buffer_pages: float = 64.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("nested_loop", "hash", "sort_merge"):
+        if self.kind not in JOIN_KINDS:
             raise ValueError(f"unknown join kind {self.kind!r}")
         _check_coefficients(self, ("loop_factor", "buffer_pages"))
 
@@ -149,7 +151,7 @@ class OperatorCatalog:
 def default_catalog() -> OperatorCatalog:
     return OperatorCatalog(
         scan_ops=(
-            ScanOp("seq_scan", time_per_row=1.0),
+            ScanOp("seq_scan"),
             ScanOp("sample_scan", time_per_row=0.1),
         ),
         join_ops=(
@@ -205,11 +207,10 @@ class CostModel:
         self._cross_sel: dict = {}
         self._leaves: dict = {}
         # flattened per-op records for the join fast path, which
-        # dominates optimizer run time
-        self._join_specs = tuple(
-            (op.kind, op.fmt, op.loop_factor, op.buffer_pages)
-            for op in self.catalog.join_ops
-        )
+        # dominates optimizer run time, and each join operator's format
+        ops = self.catalog.join_ops
+        self._join_specs = tuple((op.kind, op.loop_factor, op.buffer_pages) for op in ops)
+        self.join_fmts = tuple(op.fmt for op in ops)
         self._all_three = metrics == (0, 1, 2)
         # per edge, in query order: endpoint bits and selectivity; per
         # table, the bit mask of the indices of the edges touching it
@@ -322,7 +323,7 @@ class CostModel:
                 memo.clear()
             memo[(obits, ibits)] = memo[(ibits, obits)] = cs
         out = oc * ic * cs
-        kind, _, loop_factor, buffer_pages = self._join_specs[join_op]
+        kind, loop_factor, buffer_pages = self._join_specs[join_op]
         if kind == "nested_loop":
             t, b, d = oc * ic * loop_factor + out, 2.0, 0.0
         elif kind == "hash":
@@ -356,8 +357,7 @@ class CostModel:
         cost, out = self.join_cost(
             obits, outer.cost, outer.out_card, ibits, inner.cost, inner.out_card, join_op
         )
-        rel = obits | ibits
         return Plan(
-            rel, cost, out, self._join_specs[join_op][1], -1, -1, outer, inner, join_op
+            obits | ibits, cost, out, self.join_fmts[join_op], -1, -1, outer, inner, join_op
         )
 

@@ -13,13 +13,14 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import truediv
 from typing import Callable, Sequence
 
 from .baselines import dp_frontier, run_2p, run_ii, run_nsga2, run_sa
 from .core import Archive, check_int
 from .costmodel import (
+    JOIN_KINDS,
     N_METRICS,
     CostModel,
     JoinOp,
@@ -197,11 +198,8 @@ def _catalog_repr(catalog: OperatorCatalog) -> str:
 
 
 def _join_token(op: JoinOp) -> str:
-    if op.kind == "nested_loop":
-        return f"nested_loop:{op.loop_factor}"
-    if op.kind == "sort_merge":
-        return f"sort_merge:{op.buffer_pages}"
-    return op.kind
+    field = JOIN_KINDS[op.kind]
+    return op.kind if field is None else f"{op.kind}:{getattr(op, field)}"
 
 
 @dataclass(frozen=True)
@@ -461,25 +459,24 @@ def climb_stats(cfg: ClimbStatsConfig) -> list:
 
 
 def parse_catalog_spec(scans: str, joins: str) -> OperatorCatalog:
-    """Build a catalog from config tokens.
-
-    Scan tokens are ``name:time_per_row``; join tokens are
-    ``kind[:coefficient]`` where the coefficient is the loop factor for
-    nested_loop and the buffer page count for sort_merge.
-    """
+    """Build a catalog from ``name[:time_per_row]`` scan tokens and
+    ``kind[:coefficient]`` join tokens; ``JOIN_KINDS`` names the field a
+    join coefficient sets. An omitted coefficient keeps the field default;
+    one on a kind that takes none raises ``ValueError``."""
     scan_ops = []
     for token in _split_tokens(scans):
         name, _, factor = token.partition(":")
-        scan_ops.append(ScanOp(name, time_per_row=float(factor) if factor else 1.0))
+        op = ScanOp(name)
+        scan_ops.append(replace(op, time_per_row=float(factor)) if factor else op)
     join_ops = []
     for token in _split_tokens(joins):
         kind, _, coeff = token.partition(":")
-        if kind == "nested_loop":
-            op = JoinOp(kind, kind=kind, loop_factor=float(coeff) if coeff else 1e-3)
-        elif kind == "sort_merge":
-            op = JoinOp(kind, kind=kind, buffer_pages=float(coeff) if coeff else 64.0)
-        else:
-            op = JoinOp(kind, kind=kind)
+        op = JoinOp(kind, kind=kind)  # an unknown kind raises here
+        if coeff:
+            field = JOIN_KINDS[kind]
+            if field is None:
+                raise ValueError(f"join kind {kind!r} takes no coefficient, got {token!r}")
+            op = replace(op, **{field: float(coeff)})
         join_ops.append(op)
     return OperatorCatalog(scan_ops=tuple(scan_ops), join_ops=tuple(join_ops))
 

@@ -181,7 +181,7 @@ def _priced_candidates(model: CostModel, plan: Plan, memo: dict) -> list:
     if not plan.is_join:
         return [(cand.fmt, cand.cost, cand) for cand in mutations(model, plan)]
     join_cost = model.join_cost
-    fmts = [op.fmt for op in model.catalog.join_ops]
+    fmts = model.join_fmts
     outer = plan.outer
     inner = plan.inner
     root_op = plan.join_op
@@ -305,7 +305,7 @@ def offer_join_combinations(
     before = len(plans)
     admit = archive.admit
     join_cost = model.join_cost
-    fmts = [op.fmt for op in model.catalog.join_ops]
+    fmts = model.join_fmts
     for o in outs:
         obits, ocost, oc = o.rel, o.cost, o.out_card
         for i in ins:

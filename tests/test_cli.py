@@ -43,6 +43,16 @@ class TestParsing:
         assert code == 1
         assert "mesh" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("run", "--budget-iters", "1"), ("stats",)], ids=["run", "stats"]
+    )
+    def test_empty_seeds_are_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--tables", "4", "--seeds", "")
+        assert code == 1
+        assert "config error" in err
+        assert "seed" in err
+        assert out == ""
+
     def test_bad_seeds(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--tables", "4", "--seeds", "5-2", "--budget-iters", "5"
@@ -449,6 +459,45 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 1
         assert "warp_speed" in err
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ("[experimnet]\ntables = 4\n", "[experimnet]"),
+            ("[experiment]\ntables = 4\n[Catalog]\njoin_ops = hash\n", "[Catalog]"),
+            ("[catalog]\nscan_ops = s:1\njoin_ops = hash\nbuffer_ops = 3\n", "buffer_ops"),
+            ("[DEFAULT]\nwarp_speed = 9\n[catalog]\nscan_ops = s:1\njoin_ops = hash\n", "warp_speed"),
+            ("[DEFAULT]\ntables = 4\n[catalog]\nscan_ops = s:1\njoin_ops = hash\n", "tables"),
+        ],
+        ids=["section", "section-case", "catalog-key", "default-key", "default-unread"],
+    )
+    def test_unknown_section_or_key_rejected(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        # flags that make a run finish at once should the file be accepted
+        code, out, err = run_cli(
+            capsys, "run", "--config", str(cfg),
+            "--budget-iters", "1", "--sample-ms", "1", "--seeds", "0", "--algos", "ii",
+        )
+        assert code == 1
+        assert "config error" in err
+        assert named in err
+        assert str(cfg) in err
+        assert out == ""
+
+    def test_default_section_reaches_experiment_only(self, tmp_path, capsys):
+        # configparser merges [DEFAULT] into [catalog] too, which reads
+        # none of its keys
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[DEFAULT]\ntables = 3\nalgos = ii\n"
+            "[experiment]\nbudget_iters = 10\nsample_ms = 5\nseeds = 0\n"
+            "[catalog]\nscan_ops = s:1.0\njoin_ops = hash, sort_merge:8\n"
+        )
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert rows and all(row.startswith("ii,0,") for row in rows)
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

@@ -21,7 +21,7 @@ from moqo.costmodel import (
     materializing_catalog,
     topology_edges,
 )
-from moqo.optimizer import Budget, random_plan, rmq_optimize
+from moqo.optimizer import Budget, pareto_climb, pareto_step, random_plan, rmq_optimize
 from moqo.querygen import GenSpec, generate_query
 from reference import join_local_cost, plan_cost, plan_nodes, weakly_dominates
 
@@ -169,6 +169,27 @@ class TestOperators:
     def test_unknown_join_kind_rejected(self):
         with pytest.raises(ValueError):
             JoinOp("weird", kind="weird")
+
+    @pytest.mark.parametrize("catalog", [default_catalog, materializing_catalog])
+    def test_join_fmts_follow_the_catalog(self, catalog):
+        cat = catalog()
+        model = CostModel(chain3(), cat)
+        assert list(model.join_fmts) == [op.fmt for op in cat.join_ops]
+
+    def test_climbed_join_nodes_carry_their_operator_format(self):
+        # the climbed plans and the last step's results, which keep one
+        # plan per output format
+        cat = materializing_catalog()
+        seen = set()
+        for seed in range(6):
+            model = CostModel(generate_query(GenSpec(n=7, seed=seed)), cat)
+            climbed = pareto_climb(model, random_plan(model, random.Random(seed))).plan
+            for root in [climbed, *pareto_step(model, climbed, {})]:
+                for node in plan_nodes(root):
+                    if node.is_join:
+                        assert node.fmt is cat.join_ops[node.join_op].fmt
+                        seen.add(node.fmt)
+        assert seen == set(OutputFormat)
 
     @pytest.mark.parametrize("field", ["time_per_row", "buffer", "disc"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])

@@ -1,6 +1,7 @@
 """Quality indicator, reference frontiers, experiment runner, statistics."""
 
 import math
+import random
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -16,7 +17,15 @@ from moqo.baselines import (
     run_sa,
 )
 from moqo.core import Archive, OutputFormat
-from moqo.costmodel import CostModel, Topology, default_catalog
+from moqo.costmodel import (
+    JOIN_KINDS,
+    CostModel,
+    JoinOp,
+    OperatorCatalog,
+    ScanOp,
+    Topology,
+    default_catalog,
+)
 from moqo.harness import (
     ClimbStatsConfig,
     ExperimentConfig,
@@ -570,6 +579,50 @@ class TestParseCatalogSpec:
     def test_unknown_join_kind_rejected(self):
         with pytest.raises(ValueError):
             parse_catalog_spec("s:1", "zigzag")
+
+    def test_unknown_join_kind_with_coefficient_named(self):
+        with pytest.raises(ValueError, match="unknown join kind 'zigzag'"):
+            parse_catalog_spec("s:1", "zigzag:3")
+
+    def test_coefficient_on_kind_without_one_rejected(self):
+        with pytest.raises(ValueError, match="hash"):
+            parse_catalog_spec("s:1", "hash:5")
+
+    def test_empty_coefficient_takes_default(self):
+        cat = parse_catalog_spec("s:", "nested_loop:, sort_merge:")
+        assert cat.scan_ops == (ScanOp("s"),)
+        assert cat.join_ops == tuple(JoinOp(k, kind=k) for k in ("nested_loop", "sort_merge"))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_catalogs_round_trip_through_config_header(self, seed):
+        rng = random.Random(seed)
+        values = (0.0, 0.25, 1.0, 3.0, 1e-07, 128.0)
+
+        def draw_coefficient():
+            return rng.choice(values) if rng.random() < 0.7 else None
+
+        scan_tokens, scans = [], []
+        for idx in range(rng.randint(1, 4)):
+            name, factor = f"scan{idx}", draw_coefficient()
+            scan_tokens.append(name if factor is None else f"{name}:{factor}")
+            scans.append(ScanOp(name) if factor is None else ScanOp(name, time_per_row=factor))
+        # every kind, each with and without a coefficient where it takes one
+        join_tokens, joins = [], []
+        for kind, field in JOIN_KINDS.items():
+            for coeff in (None, rng.choice(values)) if field else (None,):
+                join_tokens.append(kind if coeff is None else f"{kind}:{coeff}")
+                plain = JoinOp(kind, kind=kind)
+                joins.append(plain if coeff is None else replace(plain, **{field: coeff}))
+        order = list(range(len(joins)))
+        rng.shuffle(order)
+        cat = parse_catalog_spec(
+            ", ".join(scan_tokens), ", ".join(join_tokens[i] for i in order)
+        )
+        assert cat == OperatorCatalog(tuple(scans), tuple(joins[i] for i in order))
+        lines = ExperimentConfig(n=5, catalog=cat).resolved_lines()
+        (line,) = [line for line in lines if line.startswith("catalog=")]
+        recorded = re.fullmatch(r"catalog=scans\[(.*)\] joins\[(.*)\]", line)
+        assert parse_catalog_spec(*recorded.groups()) == cat
 
     @pytest.mark.parametrize(
         "scans,joins",
