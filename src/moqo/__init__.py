@@ -7,7 +7,6 @@ and a benchmark harness.
 """
 
 from .baselines import (
-    SaConfig,
     dp_frontier,
     exhaustive_frontier,
     run_2p,
@@ -58,7 +57,6 @@ __all__ = [
     "PlanCache",
     "QueryInstance",
     "ReferenceMode",
-    "SaConfig",
     "SamplePoint",
     "ScanOp",
     "SelectivityMode",

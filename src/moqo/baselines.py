@@ -2,14 +2,17 @@
 iterative improvement, simulated annealing, two-phase optimization and
 NSGA-II.
 
-All anytime runners share the signature (model, budget, seed,
-progress_sink) so the benchmark harness can treat them uniformly, and
-all of them run their iterations through ``optimizer.anytime``, the one
-loop that checks the budget and feeds the progress sink; II, SA and
-two-phase optimization are one climb-then-anneal loop. The exhaustive
-oracle and the DP scheme are deliberately separate implementations of
-frontier search; their agreement at full precision is the package's
-keystone correctness check. The exhaustive oracle is a plain
+The four anytime runners here (``run_ii``, ``run_sa``, ``run_2p`` and
+``run_nsga2``) take exactly (model, budget, seed, progress_sink), which
+``optimizer.rmq_optimize`` takes too before its optional ``cache``, so
+the benchmark harness calls all five alike. Their settings are fixed
+module constants. All five run their iterations through
+``optimizer.anytime``, the one loop that checks the budget and feeds
+the progress sink; II, SA and two-phase optimization are one
+climb-then-anneal loop. The exhaustive oracle and the DP scheme are
+deliberately separate implementations of frontier search; their
+agreement at full precision is the package's keystone correctness
+check. The exhaustive oracle is a plain
 enumeration into one ``Archive`` per table set, built with
 ``CostModel.leaf``/``CostModel.join`` and ``Archive.insert``, so the
 only code it shares with DP is the cost model and the archive.
@@ -24,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from operator import gt
 
-from .core import Archive, Plan, check_int, strictly_dominates
+from .core import Archive, Plan, strictly_dominates
 from .costmodel import CostModel
 from .optimizer import (
     Budget,
@@ -39,6 +42,20 @@ from .optimizer import (
 )
 
 MAX_EXHAUSTIVE_TABLES = 7
+
+# The baselines' fixed settings, read by the runners at call time: SA's
+# neighbors per table per stage, cooling factor, start temperature and
+# freeze rule; 2P's climb count and start-temperature factor; NSGA-II's
+# population and crossover rate.
+SA_NEIGHBORS_PER_TABLE = 16
+SA_COOLING = 0.95
+SA_START_TEMPERATURE = 2.0
+SA_FREEZE_TEMPERATURE = 1e-3
+SA_FREEZE_STAGES = 4
+TWO_PHASE_CLIMBS = 10
+TWO_PHASE_START_FACTOR = 0.1
+NSGA2_POPULATION = 200
+NSGA2_CROSSOVER = 0.9
 
 
 def exhaustive_frontier(model: CostModel) -> Archive:
@@ -127,28 +144,6 @@ def dp_frontier(
     return fronts[(1 << n) - 1]
 
 
-@dataclass(frozen=True)
-class SaConfig:
-    """Annealing constants; stage length scales with the table count."""
-
-    neighbors_per_table: int = 16
-    cooling: float = 0.95
-    start_temperature_scale: float = 2.0
-    freeze_temperature: float = 1e-3
-    freeze_stages: int = 4
-
-    def __post_init__(self) -> None:
-        check_int("neighbors_per_table", self.neighbors_per_table, 1)
-        check_int("freeze_stages", self.freeze_stages, 0)
-        # written as not-(lo < x < hi) so that nan fails too
-        if not 0.0 < self.cooling < 1.0:
-            raise ValueError(f"cooling must lie in (0, 1), got {self.cooling}")
-        if not 0.0 < self.start_temperature_scale < math.inf:
-            raise ValueError("start_temperature_scale must be finite and > 0")
-        if not 0.0 <= self.freeze_temperature < math.inf:
-            raise ValueError("freeze_temperature must be finite and >= 0")
-
-
 def _random_neighbor(model: CostModel, plan: Plan, rng: random.Random) -> Plan:
     """Apply one random non-identity mutation at a random node."""
     idx = rng.randrange(2 * plan.rel.bit_count() - 1)
@@ -184,14 +179,14 @@ def _climb_then_anneal(
     progress_sink: ProgressSink | None,
     climbs: float,
     start=None,
-    config: SaConfig = SaConfig(),
 ) -> Archive:
     """The one local search of II, SA and 2P. Each of the first ``climbs``
     iterations climbs a fresh random plan; every later one is an
-    annealing stage of ``neighbors_per_table`` random neighbors per
+    annealing stage of ``SA_NEIGHBORS_PER_TABLE`` random neighbors per
     table, the first from the (plan, temperature) ``start(rng, archive)``
-    returns. The loop stops once frozen: cold, and without an archive
-    gain for ``freeze_stages`` stages. Every plan reached feeds the archive.
+    returns. The loop stops once frozen: below ``SA_FREEZE_TEMPERATURE``,
+    and without an archive gain for ``SA_FREEZE_STAGES`` stages. Every
+    plan reached feeds the archive.
     """
     rng = random.Random(seed)
     archive = Archive()
@@ -208,7 +203,7 @@ def _climb_then_anneal(
         if current is None:
             current, temperature = start(rng, archive)
         improved = False
-        for _ in range(config.neighbors_per_table * model.query.n):
+        for _ in range(SA_NEIGHBORS_PER_TABLE * model.query.n):
             neighbor = _random_neighbor(model, current, rng)
             improved |= archive.insert(neighbor)
             if strictly_dominates(neighbor.cost, current.cost):
@@ -219,10 +214,10 @@ def _climb_then_anneal(
             delta = max(rise / n_metrics, 0.0)
             if rng.random() < math.exp(-delta / temperature):
                 current = neighbor
-        temperature *= config.cooling
+        temperature *= SA_COOLING
         unimproved = 0 if improved else unimproved + 1
-        frozen = temperature < config.freeze_temperature
-        return frozen and unimproved >= config.freeze_stages
+        frozen = temperature < SA_FREEZE_TEMPERATURE
+        return frozen and unimproved >= SA_FREEZE_STAGES
 
     anytime(budget, step, lambda: archive.entries, progress_sink)
     return archive
@@ -244,23 +239,22 @@ def run_sa(
     budget: Budget,
     seed: int = 0,
     progress_sink: ProgressSink | None = None,
-    config: SaConfig = SaConfig(),
 ) -> Archive:
     """Simulated annealing over plan mutations.
 
     Move acceptance uses the mean relative per-metric cost change, so the
     temperature is scale-free; with start-relative normalization the
     start plan's mean normalized cost is exactly 1, making the initial
-    temperature the configured scale. A single trajectory is annealed
+    temperature ``SA_START_TEMPERATURE``. A single trajectory is annealed
     until frozen; every visited plan feeds the archive.
     """
 
     def start(rng: random.Random, archive: Archive) -> tuple:
         current = random_plan(model, rng)
         archive.insert(current)
-        return current, config.start_temperature_scale
+        return current, SA_START_TEMPERATURE
 
-    return _climb_then_anneal(model, budget, seed, progress_sink, 0, start, config)
+    return _climb_then_anneal(model, budget, seed, progress_sink, 0, start)
 
 
 def run_2p(
@@ -268,13 +262,10 @@ def run_2p(
     budget: Budget,
     seed: int = 0,
     progress_sink: ProgressSink | None = None,
-    config: SaConfig = SaConfig(),
-    improvement_iterations: int = 10,
 ) -> Archive:
-    """Two-phase optimization: a short iterative-improvement burst, then
-    annealing from the archive plan with the lowest normalized cost sum
-    (per-metric costs divided by the archive minima)."""
-    check_int("improvement_iterations", improvement_iterations, 1)
+    """Two-phase optimization: ``TWO_PHASE_CLIMBS`` iterative-improvement
+    climbs, then annealing from the archive plan with the lowest
+    normalized cost sum (per-metric costs divided by the archive minima)."""
 
     def start(rng: random.Random, archive: Archive) -> tuple:
         mins = [min(plan.cost[k] for plan in archive) for k in range(model.n_metrics)]
@@ -283,11 +274,9 @@ def run_2p(
             return sum(c / m for c, m in zip(plan.cost, mins))
 
         handoff = min(archive, key=normalized_sum)
-        return handoff, 0.1 * normalized_sum(handoff)
+        return handoff, TWO_PHASE_START_FACTOR * normalized_sum(handoff)
 
-    return _climb_then_anneal(
-        model, budget, seed, progress_sink, improvement_iterations, start, config
-    )
+    return _climb_then_anneal(model, budget, seed, progress_sink, TWO_PHASE_CLIMBS, start)
 
 
 @dataclass
@@ -412,22 +401,16 @@ def run_nsga2(
     budget: Budget,
     seed: int = 0,
     progress_sink: ProgressSink | None = None,
-    population_size: int = 200,
-    crossover_probability: float = 0.9,
 ) -> Archive:
     """Elitist genetic search over the ordinal left-deep encoding.
 
-    Each budget iteration evaluates exactly ``population_size`` new
+    Each budget iteration evaluates exactly ``NSGA2_POPULATION`` new
     individuals: the initial population on the first pass, one offspring
     generation afterwards. Selection is binary tournament on (rank,
-    crowding); variation is single-point crossover plus per-gene uniform
-    resampling at rate 1 / gene count.
+    crowding); variation is single-point crossover at rate
+    ``NSGA2_CROSSOVER`` plus per-gene uniform resampling at rate
+    1 / gene count.
     """
-    check_int("population_size", population_size, 1)
-    if not 0.0 <= crossover_probability <= 1.0:
-        raise ValueError(
-            f"crossover_probability must lie in [0, 1], got {crossover_probability}"
-        )
     rng = random.Random(seed)
     archive = Archive()
     bounds = gene_bounds(model)
@@ -452,15 +435,15 @@ def run_nsga2(
         if not population:
             population = [
                 evaluate([rng.randint(0, hi) for hi in bounds])
-                for _ in range(population_size)
+                for _ in range(NSGA2_POPULATION)
             ]
             _rank_population(population)
         else:
             offspring = []
-            for _ in range(population_size):
+            for _ in range(NSGA2_POPULATION):
                 p1 = _tournament(rng, population)
                 p2 = _tournament(rng, population)
-                if n_genes > 1 and rng.random() < crossover_probability:
+                if n_genes > 1 and rng.random() < NSGA2_CROSSOVER:
                     cut = rng.randrange(1, n_genes)
                     genes = p1.genes[:cut] + p2.genes[cut:]
                 else:
@@ -469,7 +452,7 @@ def run_nsga2(
             combined = population + offspring
             _rank_population(combined)
             combined.sort(key=lambda ind: (ind.rank, -ind.crowding))
-            population = combined[:population_size]
+            population = combined[:NSGA2_POPULATION]
 
     anytime(budget, step, lambda: archive.entries, progress_sink)
     return archive

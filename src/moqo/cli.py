@@ -192,7 +192,11 @@ def _load_config_file(path: str) -> dict:
         keys = _CONFIG_SECTIONS.get(section)
         if keys is None:
             raise _ConfigError(f"unknown config section [{section}] in {path!r}")
-        for key, raw in parser.items(section):
+        try:
+            items = parser.items(section)  # interpolates, so a bare % raises here
+        except configparser.Error as exc:
+            raise _ConfigError(f"bad value in [{section}] of {path!r}: {exc}") from exc
+        for key, raw in items:
             if key in keys:
                 try:
                     out[key] = keys[key](raw)

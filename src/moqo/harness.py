@@ -423,6 +423,8 @@ class ClimbStatsConfig:
             raise ValueError("need at least one table count")
         if len(set(self.table_counts)) < len(self.table_counts):
             raise ValueError(f"table counts repeat in {tuple(self.table_counts)}")
+        for n in self.table_counts:
+            GenSpec(n=n, topology=self.topology)  # table count, cycle minimum
         check_int("rmq_iterations", self.rmq_iterations, 0)
 
 

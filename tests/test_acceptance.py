@@ -11,6 +11,9 @@ import random
 import statistics
 import time
 
+import pytest
+
+from moqo import baselines
 from moqo.baselines import (
     dp_frontier,
     exhaustive_frontier,
@@ -342,16 +345,17 @@ class TestCriterion7:
             "ii": lambda: run_ii(m, Budget(max_iterations=120), seed=9),
             "sa": lambda: run_sa(m, Budget(max_iterations=40), seed=9),
             "2p": lambda: run_2p(m, Budget(max_iterations=60), seed=9),
-            "nsga2": lambda: run_nsga2(
-                m, Budget(max_iterations=3), seed=9, population_size=50
-            ),
+            "nsga2": lambda: run_nsga2(m, Budget(max_iterations=3), seed=9),
             "dp": lambda: dp_frontier(m, 1.5),
         }
-        return [
-            name
-            for name, fn in runners.items()
-            if sorted(fn().costs()) != sorted(fn().costs())
-        ]
+        # three generations of 50 individuals
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "NSGA2_POPULATION", 50)
+            return [
+                name
+                for name, fn in runners.items()
+                if sorted(fn().costs()) != sorted(fn().costs())
+            ]
 
     def test_property_suites(self):
         results = {

@@ -1,13 +1,14 @@
 """Exhaustive oracle, DP approximation and the heuristic baselines."""
 
+import inspect
 import math
 import random
 from operator import le, lt
 
 import pytest
 
+from moqo import baselines
 from moqo.baselines import (
-    SaConfig,
     decode_genes,
     dp_frontier,
     exhaustive_frontier,
@@ -43,6 +44,11 @@ def model_for(n, seed, topology=Topology.CHAIN, metrics=(0, 1, 2), mode=None):
         seed=seed,
     )
     return CostModel(generate_query(spec), None, metrics)
+
+
+# short annealing stages and fast cooling, so SA freezes within a few
+# dozen iterations
+SA_FREEZE_SETTINGS = dict(SA_NEIGHBORS_PER_TABLE=2, SA_COOLING=0.5, SA_FREEZE_STAGES=1)
 
 
 def enumerate_all_plans(model, bits=None):
@@ -296,10 +302,10 @@ class TestRunSa:
                 if i != j:
                     assert not weakly_dominates(a, b)
 
-    def test_config_tunable(self):
-        m = model_for(4, 1)
-        cfg = SaConfig(neighbors_per_table=2, cooling=0.5, freeze_stages=1)
-        arc = run_sa(m, Budget(max_iterations=50), seed=2, config=cfg)
+    def test_config_tunable(self, monkeypatch):
+        for name, value in SA_FREEZE_SETTINGS.items():
+            monkeypatch.setattr(baselines, name, value)
+        arc = run_sa(model_for(4, 1), Budget(max_iterations=50), seed=2)
         assert len(arc) >= 1
 
     def test_quality_reasonable(self):
@@ -323,11 +329,6 @@ class TestRun2p:
         a = run_2p(m, Budget(max_iterations=40), seed=8)
         b = run_2p(m, Budget(max_iterations=40), seed=8)
         assert sorted(a.costs()) == sorted(b.costs())
-
-    def test_no_improvement_phase_rejected(self):
-        # annealing starts from a climbed plan, so at least one must exist
-        with pytest.raises(ValueError):
-            run_2p(model_for(4, 1), Budget(max_iterations=5), improvement_iterations=0)
 
     def test_tiny_budget_stops_in_first_phase(self):
         m = model_for(5, 2)
@@ -379,18 +380,27 @@ class TestSinkContract:
         assert len(arc) == 0
 
 
+def test_runners_share_one_signature():
+    # the harness calls every runner alike; rmq_optimize adds only its
+    # optional plan cache
+    params = ["model", "budget", "seed", "progress_sink"]
+    for runner in (run_ii, run_sa, run_2p, run_nsga2):
+        assert list(inspect.signature(runner).parameters) == params, runner.__name__
+    assert list(inspect.signature(rmq_optimize).parameters) == params + ["cache"]
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_sa_freeze_stops_early(seed):
+def test_sa_freeze_stops_early(monkeypatch, seed):
     # start temperature 2.0 halves per stage, so it first falls below the
     # 1e-3 freeze temperature after 11 stages
-    config = SaConfig(neighbors_per_table=2, cooling=0.5, freeze_stages=1)
+    for name, value in SA_FREEZE_SETTINGS.items():
+        monkeypatch.setattr(baselines, name, value)
     calls = []
     run_sa(
         model_for(4, seed),
         Budget(max_iterations=200),
         seed=seed,
         progress_sink=lambda t, plans: calls.append(t),
-        config=config,
     )
     assert 11 <= len(calls) < 200
 
@@ -549,76 +559,41 @@ class TestRunNsga2:
         m = model_for(4, 0)
         assert len(run_nsga2(m, Budget(max_iterations=0), seed=1)) == 0
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(baselines, "NSGA2_POPULATION", 40)
         m = model_for(5, 1)
-        a = run_nsga2(m, Budget(max_iterations=3), seed=2, population_size=40)
-        b = run_nsga2(m, Budget(max_iterations=3), seed=2, population_size=40)
+        a = run_nsga2(m, Budget(max_iterations=3), seed=2)
+        b = run_nsga2(m, Budget(max_iterations=3), seed=2)
         assert sorted(a.costs()) == sorted(b.costs())
 
-    def test_sink_called_per_generation(self):
+    def test_sink_called_per_generation(self, monkeypatch):
+        monkeypatch.setattr(baselines, "NSGA2_POPULATION", 30)
         m = model_for(5, 1)
         calls = []
         run_nsga2(
             m,
             Budget(max_iterations=4),
             seed=3,
-            population_size=30,
             progress_sink=lambda t, plans: calls.append(len(plans)),
         )
         assert len(calls) == 4
 
-    def test_archive_valid(self):
+    def test_archive_valid(self, monkeypatch):
+        monkeypatch.setattr(baselines, "NSGA2_POPULATION", 50)
         m = model_for(6, 2, topology=Topology.STAR)
-        costs = run_nsga2(
-            m, Budget(max_iterations=3), seed=5, population_size=50
-        ).costs()
+        costs = run_nsga2(m, Budget(max_iterations=3), seed=5).costs()
         assert costs
         for i, a in enumerate(costs):
             for j, b in enumerate(costs):
                 if i != j:
                     assert not weakly_dominates(a, b)
 
-    def test_quality_improves_with_budget(self):
+    def test_quality_improves_with_budget(self, monkeypatch):
+        monkeypatch.setattr(baselines, "NSGA2_POPULATION", 40)
         m = model_for(5, 7)
         exact = exhaustive_frontier(m).costs()
-        short = run_nsga2(m, Budget(max_iterations=1), seed=4, population_size=40)
-        longer = run_nsga2(m, Budget(max_iterations=12), seed=4, population_size=40)
+        short = run_nsga2(m, Budget(max_iterations=1), seed=4)
+        longer = run_nsga2(m, Budget(max_iterations=12), seed=4)
         assert epsilon_indicator(longer.costs(), exact) <= epsilon_indicator(
             short.costs(), exact
         )
-
-
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda m, b: run_nsga2(m, b, population_size=0),
-        lambda m, b: run_nsga2(m, b, population_size=2.0),
-        lambda m, b: run_nsga2(m, b, crossover_probability=math.nan),
-        lambda m, b: run_nsga2(m, b, crossover_probability=1.5),
-        lambda m, b: run_sa(m, b, config=SaConfig(cooling=math.nan)),
-        lambda m, b: run_sa(m, b, config=SaConfig(cooling=1.0)),
-        lambda m, b: run_sa(m, b, config=SaConfig(neighbors_per_table=0)),
-        lambda m, b: run_sa(m, b, config=SaConfig(start_temperature_scale=0.0)),
-        lambda m, b: run_sa(m, b, config=SaConfig(freeze_temperature=math.nan)),
-        lambda m, b: run_sa(m, b, config=SaConfig(freeze_stages=-1)),
-        lambda m, b: run_2p(m, b, improvement_iterations=2.5),
-        lambda m, b: run_2p(m, b, improvement_iterations=True),
-    ],
-    ids=[
-        "nsga2-population-0",
-        "nsga2-population-float",
-        "nsga2-crossover-nan",
-        "nsga2-crossover-above-1",
-        "sa-cooling-nan",
-        "sa-cooling-1",
-        "sa-neighbors-0",
-        "sa-start-temperature-0",
-        "sa-freeze-temperature-nan",
-        "sa-freeze-stages-negative",
-        "2p-improvement-float",
-        "2p-improvement-bool",
-    ],
-)
-def test_bad_runner_settings_rejected(run):
-    with pytest.raises(ValueError):
-        run(model_for(4, 0), Budget(max_iterations=2))

@@ -270,6 +270,18 @@ class TestStats:
         assert "config error" in err
         assert out == ""
 
+    def test_bad_table_count_rejected_before_any_run(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            harness, "instance_model", lambda n, *a, **k: built.append(n)
+        )
+        code, out, err = run_cli(
+            capsys, "stats", "--tables", "50,200", "--seeds", "0-9", "--rmq-iters", "20"
+        )
+        assert code == 1
+        assert "config error" in err and "200" in err
+        assert built == [] and out == ""
+
 
 class TestRun:
     def test_stdout_csv_when_no_out(self, capsys):
@@ -498,6 +510,29 @@ class TestConfigFile:
         assert code == 0
         rows = out.strip().splitlines()[1:]
         assert rows and all(row.startswith("ii,0,") for row in rows)
+
+    def test_bare_percent_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nout = runs%.csv\n")
+        code, out, err = run_cli(
+            capsys, "run", "--config", str(cfg),
+            "--budget-iters", "1", "--sample-ms", "1", "--seeds", "0", "--algos", "ii",
+        )
+        assert code == 1
+        assert "config error" in err
+        assert str(cfg) in err
+        assert out == ""
+
+    def test_double_percent_is_one_percent(self, tmp_path, capsys):
+        out_path = tmp_path / "runs%.csv"
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\ntables = 3\nalgos = ii\nbudget_iters = 1\n"
+            f"sample_ms = 1\nseeds = 0\nout = {tmp_path}/runs%%.csv\n"
+        )
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0
+        assert out_path.exists(), out
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"

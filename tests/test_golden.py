@@ -6,14 +6,13 @@ deterministic. The digests below pin those frontiers: a rewrite of a hot
 path that moves any result, even in the last bit of one cost, fails here.
 """
 
-import functools
 import hashlib
 import math
 
 import pytest
 
+from moqo import baselines
 from moqo.baselines import (
-    SaConfig,
     dp_frontier,
     exhaustive_frontier,
     run_2p,
@@ -26,13 +25,11 @@ from moqo.harness import instance_model
 from moqo.optimizer import Budget, rmq_optimize
 from moqo.querygen import GenSpec, SelectivityMode, generate_query
 
-# 2P gets a four-iteration improvement phase, so that its eight
-# iterations also cover the hand-off to annealing
 RUNNERS = {
     "rmq_optimize": rmq_optimize,
     "run_ii": run_ii,
     "run_sa": run_sa,
-    "run_2p": functools.partial(run_2p, improvement_iterations=4),
+    "run_2p": run_2p,
     "run_nsga2": run_nsga2,
 }
 
@@ -70,7 +67,11 @@ def frontier_digest(costs):
 @pytest.mark.parametrize(
     "runner,topology,seed", sorted(GOLDEN), ids=lambda v: str(v)
 )
-def test_frontier_digest_pinned(runner, topology, seed):
+def test_frontier_digest_pinned(monkeypatch, runner, topology, seed):
+    if runner == "run_2p":
+        # four climbs, so that the eight iterations also cover the
+        # hand-off to annealing
+        monkeypatch.setattr(baselines, "TWO_PHASE_CLIMBS", 4)
     spec = GenSpec(n=12, topology=Topology(topology), seed=seed)
     model = CostModel(generate_query(spec))
     archive = RUNNERS[runner](model, Budget(max_iterations=8), seed=seed)
@@ -124,7 +125,7 @@ def _model(topology, seed, metrics=(0, 1, 2)):
 
 # SA with short stages and fast cooling freezes well inside its cap.
 # (topology, seed) -> (iterations until frozen, sha1 of the final frontier)
-SA_FREEZE_CONFIG = SaConfig(neighbors_per_table=2, cooling=0.5, freeze_stages=1)
+SA_FREEZE_SETTINGS = dict(SA_NEIGHBORS_PER_TABLE=2, SA_COOLING=0.5, SA_FREEZE_STAGES=1)
 SA_FREEZE_GOLDEN = {
     ("chain", 0): (13, "a6a2cc2e672cda3275978b2dfef26d12580bec63"),
     ("chain", 1): (12, "bde3441e5a505301e3a2e1e4c9a752b6a97fc359"),
@@ -134,14 +135,15 @@ SA_FREEZE_GOLDEN = {
 
 
 @pytest.mark.parametrize("topology,seed", sorted(SA_FREEZE_GOLDEN))
-def test_sa_until_frozen_pinned(topology, seed):
+def test_sa_until_frozen_pinned(monkeypatch, topology, seed):
+    for name, value in SA_FREEZE_SETTINGS.items():
+        monkeypatch.setattr(baselines, name, value)
     steps = []
     archive = run_sa(
         _model(topology, seed),
         Budget(max_iterations=1000),
         seed=seed,
         progress_sink=lambda elapsed, plans: steps.append(elapsed),
-        config=SA_FREEZE_CONFIG,
     )
     got = (len(steps), frontier_digest(archive.costs()))
     assert got == SA_FREEZE_GOLDEN[(topology, seed)]
@@ -149,7 +151,7 @@ def test_sa_until_frozen_pinned(topology, seed):
 
 # 2P on metrics (0, 1), eight iterations, with the hand-off to annealing
 # after the first and after the third iteration.
-# (improvement_iterations, topology, seed) -> sha1 of the final frontier
+# (TWO_PHASE_CLIMBS, topology, seed) -> sha1 of the final frontier
 TWO_PHASE_GOLDEN = {
     (1, "chain", 0): "fbc79b169ac5ce2fb4b52796072cea0c61ca64c7",
     (1, "chain", 1): "29cf2132b7555d77e7cd96383186d36f9954a029",
@@ -163,13 +165,9 @@ TWO_PHASE_GOLDEN = {
 
 
 @pytest.mark.parametrize("climbs,topology,seed", sorted(TWO_PHASE_GOLDEN))
-def test_two_phase_hand_off_pinned(climbs, topology, seed):
-    archive = run_2p(
-        _model(topology, seed, (0, 1)),
-        Budget(max_iterations=8),
-        seed=seed,
-        improvement_iterations=climbs,
-    )
+def test_two_phase_hand_off_pinned(monkeypatch, climbs, topology, seed):
+    monkeypatch.setattr(baselines, "TWO_PHASE_CLIMBS", climbs)
+    archive = run_2p(_model(topology, seed, (0, 1)), Budget(max_iterations=8), seed=seed)
     assert frontier_digest(archive.costs()) == TWO_PHASE_GOLDEN[(climbs, topology, seed)]
 
 

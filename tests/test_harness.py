@@ -535,6 +535,9 @@ class TestClimbStats:
             {"seeds": (2, 2)},
             {"table_counts": ()},
             {"table_counts": (3, 3)},
+            {"table_counts": (10, 200)},
+            {"table_counts": (0,)},
+            {"table_counts": (2,), "topology": Topology.CYCLE},
             {"rmq_iterations": -2},
             {"rmq_iterations": math.nan},
             {"rmq_iterations": 2.5},
@@ -547,6 +550,9 @@ class TestClimbStats:
             "repeated-seed",
             "no-tables",
             "repeated-table-count",
+            "table-count-above-max",
+            "table-count-0",
+            "cycle-of-2",
             "negative-iters",
             "nan-iters",
             "float-iters",
