@@ -3,27 +3,32 @@
 # oracles, once through the five search runners, once at 100 tables,
 # where the cost model's selectivity memo fills and flushes, once under
 # a time budget, where no sample may read inf, through the climb
-# statistics, once through a config file, and through two bad config
-# files (a misspelled section, a bare % in a value), which must each
-# exit with code 1. Writes its files to $RUNNER_TEMP, or to a fresh
-# temporary directory when that is unset.
+# statistics, once through a config file, and through a bad flag value
+# (--tables many) and three bad config files (a misspelled section, a
+# bare % in a value, tables = many), which must each exit with code 1.
+# Writes its files to $RUNNER_TEMP, or to a fresh temporary directory
+# when that is unset.
 #
 # Usage: sh .github/smoke.sh   (after `pip install -e .`)
 set -eu
 
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 
-# a config error exits with code 1 exactly; the flags make a run finish
-# at once should the file be accepted
-expect_config_error() {
+# a config error exits with code 1 exactly
+expect_exit_1() {
     what="$1"
-    file="$2"
+    shift
     code=0
-    moqo run --config "$file" --budget-iters 1 --sample-ms 1 --seeds 0 --algos ii || code=$?
+    "$@" || code=$?
     if [ "$code" -ne 1 ]; then
         echo "$what exited $code, not 1"
         exit 1
     fi
+}
+
+# the flags make a run finish at once should the file be accepted
+expect_config_error() {
+    expect_exit_1 "$1" moqo run --config "$2" --budget-iters 1 --sample-ms 1 --seeds 0 --algos ii
 }
 
 moqo oracle --tables 4 --seed 0
@@ -44,4 +49,8 @@ printf '[experimnet]\ntables = 4\n' > "$tmp/typo.ini"
 expect_config_error "a misspelled section" "$tmp/typo.ini"
 printf '[experiment]\nout = runs%%.csv\n' > "$tmp/percent.ini"
 expect_config_error "a bare percent sign in a value" "$tmp/percent.ini"
+# a bad value is the same config error from a flag and from a file
+expect_exit_1 "a bad flag value" moqo run --tables many
+printf '[experiment]\ntables = many\n' > "$tmp/value.ini"
+expect_config_error "a bad config value" "$tmp/value.ini"
 echo "console script smoke run passed"

@@ -5,6 +5,11 @@ Subcommands:
   stats   report climb path lengths and Pareto-set sizes per table count
   oracle  print the exact or DP frontier of one generated instance
 
+Each option is defined once, in ``_OPTIONS``. Its flag is its name with
+dashes, ``run``'s names are the ``[experiment]`` keys of a config file,
+and flag and file values share one parser, so a bad value from either is
+the same config error.
+
 Exit codes: 0 on success, 1 on configuration errors, 2 on runtime
 failures (I/O, budget-infeasible oracle runs, internal errors).
 """
@@ -55,125 +60,96 @@ def _parse_seeds(raw: str) -> tuple:
     seeds: list = []
     for token in _split_tokens(raw):
         sep = token.find("-", 1)
-        if sep != -1:
-            try:
-                start, stop = int(token[:sep]), int(token[sep + 1 :])
-            except ValueError as exc:
-                raise _ConfigError(f"bad seed range {token!r}") from exc
-            if stop < start:
-                raise _ConfigError(f"empty seed range {token!r}")
-            seeds.extend(range(start, stop + 1))
-        else:
-            try:
-                seeds.append(int(token))
-            except ValueError as exc:
-                raise _ConfigError(f"bad seed {token!r}") from exc
+        if sep == -1:
+            seeds.append(int(token))
+            continue
+        start, stop = int(token[:sep]), int(token[sep + 1 :])
+        if stop < start:
+            raise ValueError(f"empty seed range {token!r}")
+        seeds.extend(range(start, stop + 1))
     return tuple(seeds)
 
 
-def _enum_value(cls, raw: str, what: str):
-    try:
-        return cls(raw)
-    except ValueError as exc:
-        choices = ", ".join(member.value for member in cls)
-        raise _ConfigError(f"unknown {what} {raw!r}; choose from {choices}") from exc
+def _choice(cls, what: str):
+    """The parser of a value of enum ``cls``."""
+
+    def parse(raw: str):
+        try:
+            return cls(raw)
+        except ValueError:
+            choices = ", ".join(member.value for member in cls)
+            raise ValueError(f"unknown {what} {raw!r}; choose from {choices}") from None
+
+    return parse
 
 
-def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--topology",
-        default=None,
-        help=f"join graph shape: chain, cycle, or star (default {GenSpec.topology.value})",
-    )
-    parser.add_argument(
-        "--selectivity",
-        default=None,
-        help="edge selectivity sampler: steinbrunn or minmax "
-        f"(default {GenSpec.selectivity_mode.value})",
-    )
-    parser.add_argument(
-        "--metrics",
-        type=int,
-        default=None,
-        help=f"number of cost metrics to optimize, 1-{N_METRICS} (default {N_METRICS})",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="moqo", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    run = sub.add_parser("run", help="run a benchmark experiment")
-    run.add_argument("--config", default=None, help="INI config file; flags override it")
-    run.add_argument(
-        "--tables", type=int, default=None, help=f"tables per query (default {_RUN_TABLES})"
-    )
-    _add_instance_flags(run)
-    run.add_argument(
-        "--algos",
-        default=None,
-        help=f"comma list of {', '.join(BASE_ALGORITHMS)}, dp:<alpha>",
-    )
-    run.add_argument("--budget-ms", type=float, default=None, help="time budget per run")
-    run.add_argument(
-        "--budget-iters", type=int, default=None, help="iteration budget per run"
-    )
-    run.add_argument(
-        "--sample-ms",
-        type=float,
-        default=None,
-        help="sampling interval (iterations under --budget-iters)",
-    )
-    run.add_argument("--seeds", default=None, help="comma list and/or A-B ranges")
-    run.add_argument(
-        "--reference", default=None, help="reference frontier mode: union or exact"
-    )
-    run.add_argument("--out", default=None, help="samples CSV path")
-
-    stats = sub.add_parser(
-        "stats", help="climb path and Pareto-set statistics"
-    )
-    stats.add_argument(
-        "--tables",
-        default=None,
-        help="comma list of table counts (default "
-        f"{','.join(map(str, ClimbStatsConfig.table_counts))})",
-    )
-    _add_instance_flags(stats)
-    stats.add_argument("--seeds", default=None, help="comma list and/or A-B ranges")
-    stats.add_argument(
-        "--rmq-iters",
-        type=int,
-        default=None,
-        help="optimizer iterations for Pareto-set sizes (0 skips them)",
-    )
-
-    oracle = sub.add_parser(
-        "oracle", help="print a reference frontier"
-    )
-    oracle.add_argument("--tables", type=int, required=True, help="tables per query")
-    _add_instance_flags(oracle)
-    oracle.add_argument(
-        "--seed", type=int, default=None, help=f"instance seed (default {GenSpec.seed})"
-    )
-    oracle.add_argument(
-        "--alpha",
-        type=float,
-        default=None,
-        help="DP approximation factor; omitted runs the exhaustive oracle",
-    )
-    return parser
-
-
-# config section -> key -> parser of its raw value
-_CONFIG_SECTIONS = {
-    "experiment": dict(
-        tables=int, topology=str, selectivity=str, metrics=int, algos=str,
-        budget_ms=float, budget_iters=int, sample_ms=float, seeds=str,
-        reference=str, out=str,
+# option -> (library field, parser of its text, help); the flag is the
+# option with dashes, and an option left unset is not passed, so its
+# default lives in the library alone
+_OPTIONS = {
+    "config": ("config", str, "INI config file; flags override it"),
+    "tables": ("n", int, f"tables per query (default {_RUN_TABLES})"),
+    "topology": (
+        "topology",
+        _choice(Topology, "topology"),
+        f"join graph shape: chain, cycle, or star (default {GenSpec.topology.value})",
     ),
-    "catalog": {"scan_ops": str, "join_ops": str},
+    "selectivity": (
+        "selectivity_mode",
+        _choice(SelectivityMode, "selectivity mode"),
+        "edge selectivity sampler: steinbrunn or minmax "
+        f"(default {GenSpec.selectivity_mode.value})",
+    ),
+    "metrics": (
+        "metrics_count",
+        int,
+        f"number of cost metrics to optimize, 1-{N_METRICS} (default {N_METRICS})",
+    ),
+    "algos": (
+        "algorithms",
+        lambda raw: tuple(_split_tokens(raw)),
+        f"comma list of {', '.join(BASE_ALGORITHMS)}, dp:<alpha>",
+    ),
+    "budget_ms": ("budget_ms", float, "time budget per run"),
+    "budget_iters": ("budget_iters", int, "iteration budget per run"),
+    "sample_ms": ("sample_interval", float, "sampling interval (iterations under --budget-iters)"),
+    "seeds": ("seeds", _parse_seeds, "comma list and/or A-B ranges"),
+    "reference": (
+        "reference_mode",
+        _choice(ReferenceMode, "reference mode"),
+        "reference frontier mode: union or exact",
+    ),
+    "out": ("output_path", str, "samples CSV path"),
+    "rmq_iters": (
+        "rmq_iterations", int, "optimizer iterations for Pareto-set sizes (0 skips them)"
+    ),
+    "seed": ("seed", int, f"instance seed (default {GenSpec.seed})"),
+    "alpha": ("alpha", float, "DP approximation factor; omitted runs the exhaustive oracle"),
 }
+
+_INSTANCE = ("topology", "selectivity", "metrics")
+_RUN = (
+    "config", "tables", *_INSTANCE, "algos", "budget_ms", "budget_iters",
+    "sample_ms", "seeds", "reference", "out",
+)
+
+# config section -> the keys it reads; [experiment] reads run's options
+_CONFIG_SECTIONS = {
+    "experiment": tuple(key for key in _RUN if key != "config"),
+    "catalog": ("scan_ops", "join_ops"),
+}
+
+
+def _parsed(values: dict, options: dict, where: str = "") -> dict:
+    """Library keyword arguments for the option texts in ``values``."""
+    out = {}
+    for key, raw in values.items():
+        field, parse, _ = options[key]
+        try:
+            out[field] = parse(raw)
+        except ValueError as exc:
+            raise _ConfigError(f"bad value for {key!r}{where}: {exc}") from exc
+    return out
 
 
 def _load_config_file(path: str) -> dict:
@@ -187,7 +163,7 @@ def _load_config_file(path: str) -> dict:
         raise _ConfigError(f"malformed config file {path!r}: {exc}") from exc
     # configparser merges [DEFAULT] into every section; some section must read each key
     defaults = parser.defaults()
-    out: dict = {}
+    raw: dict = {}
     for section in parser.sections():
         keys = _CONFIG_SECTIONS.get(section)
         if keys is None:
@@ -196,74 +172,38 @@ def _load_config_file(path: str) -> dict:
             items = parser.items(section)  # interpolates, so a bare % raises here
         except configparser.Error as exc:
             raise _ConfigError(f"bad value in [{section}] of {path!r}: {exc}") from exc
-        for key, raw in items:
+        for key, value in items:
             if key in keys:
-                try:
-                    out[key] = keys[key](raw)
-                except ValueError as exc:
-                    raise _ConfigError(f"bad value for {key!r} in {path!r}: {raw}") from exc
+                raw[key] = value
             elif key not in defaults:
                 raise _ConfigError(f"unknown config key {key!r} in [{section}] of {path!r}")
     for key in defaults:
-        if key not in out:
+        if key not in raw:
             raise _ConfigError(f"no section reads [DEFAULT] key {key!r} in {path!r}")
+    scan_ops, join_ops = (raw.pop(key, "") for key in _CONFIG_SECTIONS["catalog"])
+    out = _parsed(raw, _OPTIONS, f" in {path!r}")
     if parser.has_section("catalog"):
         try:
-            out["catalog"] = parse_catalog_spec(out.pop("scan_ops", ""), out.pop("join_ops", ""))
+            out["catalog"] = parse_catalog_spec(scan_ops, join_ops)
         except (ValueError, KeyError) as exc:
             raise _ConfigError(f"bad catalog in {path!r}: {exc}") from exc
     return out
 
 
-def _given(args: argparse.Namespace, keys) -> dict:
-    """The options among ``keys`` that the command line sets."""
-    return {k: v for k, v in vars(args).items() if k in keys and v is not None}
-
-
-# option -> (library field, parser or None to pass the value as is), for
-# the options not named and typed as their field; an option left unset is
-# not passed, so its default lives in the library alone
-_FIELDS = {
-    "topology": ("topology", lambda raw: _enum_value(Topology, raw, "topology")),
-    "selectivity": (
-        "selectivity_mode",
-        lambda raw: _enum_value(SelectivityMode, raw, "selectivity mode"),
-    ),
-    "metrics": ("metrics_count", None),
-    "algos": ("algorithms", lambda raw: tuple(_split_tokens(raw))),
-    "sample_ms": ("sample_interval", None),
-    "seeds": ("seeds", _parse_seeds),
-    "reference": (
-        "reference_mode",
-        lambda raw: _enum_value(ReferenceMode, raw, "reference mode"),
-    ),
-    "out": ("output_path", None),
-    "rmq_iters": ("rmq_iterations", None),
-}
-
-
-def _fields(values: dict) -> dict:
-    """Library keyword arguments for the options given, parsed."""
-    out = {}
-    for key, value in values.items():
-        name, parse = _FIELDS.get(key, (key, None))
-        out[name] = value if parse is None else parse(value)
-    return out
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    values = _load_config_file(args.config) if args.config else {}
-    values.update(_given(args, _CONFIG_SECTIONS["experiment"]))
+def _cmd_run(kwargs: dict) -> int:
+    config = kwargs.pop("config", None)
+    values = _load_config_file(config) if config else {}
+    values.update(kwargs)
     # run's own rules: a table count default, and no time budget when
     # only an iteration budget is given
-    n = values.pop("tables", _RUN_TABLES)
+    values.setdefault("n", _RUN_TABLES)
     if "budget_iters" in values and "budget_ms" not in values:
         values["budget_ms"] = None
     try:
-        cfg = ExperimentConfig(n=n, **_fields(values))
+        cfg = ExperimentConfig(**values)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
-    samples, aggregates = run_experiment(cfg)
+    samples, _ = run_experiment(cfg)
     if not cfg.output_path:
         print(SAMPLES_HEADER)
         for s in samples:
@@ -273,14 +213,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    keys = ("topology", "selectivity", "metrics", "seeds", "rmq_iters")
-    kwargs = _fields(_given(args, keys))
-    if args.tables is not None:
-        try:
-            kwargs["table_counts"] = tuple(int(tok) for tok in _split_tokens(args.tables))
-        except ValueError as exc:
-            raise _ConfigError(f"bad table counts {args.tables!r}") from exc
+def _cmd_stats(kwargs: dict) -> int:
     try:
         rows = climb_stats(ClimbStatsConfig(**kwargs))
     except ValueError as exc:
@@ -292,13 +225,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    instance = _fields(_given(args, ("topology", "selectivity", "metrics", "seed")))
+def _cmd_oracle(kwargs: dict) -> int:
+    alpha = kwargs.pop("alpha", None)
     try:
-        model = instance_model(args.tables, **instance)
-        if args.alpha is not None:
-            archive = dp_frontier(model, args.alpha)
-        elif args.tables > MAX_EXHAUSTIVE_TABLES:
+        model = instance_model(**kwargs)
+        if alpha is not None:
+            archive = dp_frontier(model, alpha)
+        elif kwargs["n"] > MAX_EXHAUSTIVE_TABLES:
             raise ValueError(
                 f"exhaustive oracle supports at most {MAX_EXHAUSTIVE_TABLES} tables; "
                 "pass --alpha to use DP"
@@ -314,15 +247,55 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+# command -> (handler, help, its options in flag order, the options it
+# reads otherwise than _OPTIONS); oracle alone requires --tables
+_COMMANDS = {
+    "run": (_cmd_run, "run a benchmark experiment", _RUN, {}),
+    "stats": (
+        _cmd_stats,
+        "climb path and Pareto-set statistics",
+        ("tables", *_INSTANCE, "seeds", "rmq_iters"),
+        {
+            "tables": (
+                "table_counts",
+                lambda raw: tuple(int(tok) for tok in _split_tokens(raw)),
+                "comma list of table counts (default "
+                f"{','.join(map(str, ClimbStatsConfig.table_counts))})",
+            )
+        },
+    ),
+    "oracle": (
+        _cmd_oracle,
+        "print a reference frontier",
+        ("tables", *_INSTANCE, "seed", "alpha"),
+        {"tables": ("n", int, "tables per query")},
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="moqo", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for command, (_, text, keys, own) in _COMMANDS.items():
+        options = sub.add_parser(command, help=text)
+        for key in keys:
+            options.add_argument(
+                "--" + key.replace("_", "-"),
+                required=command == "oracle" and key == "tables",
+                help={**_OPTIONS, **own}[key][2],
+            )
+    return parser
+
+
 def main(argv: list | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = {"run": _cmd_run, "stats": _cmd_stats, "oracle": _cmd_oracle}[args.command]
+    handler, _, _, own = _COMMANDS[args.pop("command")]
+    given = {key: raw for key, raw in args.items() if raw is not None}
     try:
-        return handler(args)
+        return handler(_parsed(given, {**_OPTIONS, **own}))
     except _ConfigError as exc:
         print(f"moqo: config error: {exc}", file=sys.stderr)
         return 1

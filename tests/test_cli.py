@@ -1,5 +1,6 @@
 """Command line interface: parsing, exit codes, output formats."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from moqo import harness
-from moqo.cli import main
+from moqo.cli import build_parser, main
 from moqo.harness import ExperimentConfig, run_experiment
 
 
@@ -16,6 +17,134 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# subcommand -> (flag, help, required) of each option, in flag order
+_SURFACE = {
+    "run": [
+        ("--config", "INI config file; flags override it", False),
+        ("--tables", "tables per query (default 10)", False),
+        ("--topology", "join graph shape: chain, cycle, or star (default chain)", False),
+        (
+            "--selectivity",
+            "edge selectivity sampler: steinbrunn or minmax (default steinbrunn)",
+            False,
+        ),
+        ("--metrics", "number of cost metrics to optimize, 1-3 (default 3)", False),
+        ("--algos", "comma list of rmq, ii, sa, 2p, nsga2, dp:<alpha>", False),
+        ("--budget-ms", "time budget per run", False),
+        ("--budget-iters", "iteration budget per run", False),
+        ("--sample-ms", "sampling interval (iterations under --budget-iters)", False),
+        ("--seeds", "comma list and/or A-B ranges", False),
+        ("--reference", "reference frontier mode: union or exact", False),
+        ("--out", "samples CSV path", False),
+    ],
+    "stats": [
+        ("--tables", "comma list of table counts (default 10,25,50,100)", False),
+        ("--topology", "join graph shape: chain, cycle, or star (default chain)", False),
+        (
+            "--selectivity",
+            "edge selectivity sampler: steinbrunn or minmax (default steinbrunn)",
+            False,
+        ),
+        ("--metrics", "number of cost metrics to optimize, 1-3 (default 3)", False),
+        ("--seeds", "comma list and/or A-B ranges", False),
+        ("--rmq-iters", "optimizer iterations for Pareto-set sizes (0 skips them)", False),
+    ],
+    "oracle": [
+        ("--tables", "tables per query", True),
+        ("--topology", "join graph shape: chain, cycle, or star (default chain)", False),
+        (
+            "--selectivity",
+            "edge selectivity sampler: steinbrunn or minmax (default steinbrunn)",
+            False,
+        ),
+        ("--metrics", "number of cost metrics to optimize, 1-3 (default 3)", False),
+        ("--seed", "instance seed (default 0)", False),
+        ("--alpha", "DP approximation factor; omitted runs the exhaustive oracle", False),
+    ],
+}
+
+# a valid [experiment] value for each run option but --config
+_RUN_VALUES = {
+    "tables": "3",
+    "topology": "star",
+    "selectivity": "minmax",
+    "metrics": "2",
+    "algos": "ii",
+    "budget_ms": "1",
+    "budget_iters": "1",
+    "sample_ms": "1",
+    "seeds": "0",
+    "reference": "union",
+    "out": "samples.csv",
+}
+
+_TYPED_RUN_OPTIONS = ("tables", "metrics", "budget_ms", "budget_iters", "sample_ms")
+
+
+def _surface() -> dict:
+    (commands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: [
+            (action.option_strings[-1], action.help, action.required)
+            for action in command._actions
+            if action.dest != "help"
+        ]
+        for name, command in commands.choices.items()
+    }
+
+
+def _run_with_config(capsys, cfg, text, *flags):
+    """Run with config ``text``, plus flags that make a run finish at once
+    should the file be accepted."""
+    cfg.write_text(text)
+    return run_cli(
+        capsys, "run", "--config", str(cfg),
+        "--tables", "3", "--seeds", "0", "--algos", "ii", "--sample-ms", "1",
+        *(flags or ("--budget-iters", "1")),
+    )
+
+
+class TestSurface:
+    def test_flags_and_help(self):
+        assert _surface() == _SURFACE
+
+    def test_experiment_keys_are_run_options(self, tmp_path, capsys):
+        keys = [flag[2:].replace("-", "_") for flag, _, _ in _SURFACE["run"][1:]]
+        assert keys == list(_RUN_VALUES)
+        for key, value in _RUN_VALUES.items():
+            if key == "out":
+                value = str(tmp_path / value)
+            budget = ("--budget-ms", "1") if key == "budget_ms" else ()
+            code, _, err = _run_with_config(
+                capsys, tmp_path / "exp.ini", f"[experiment]\n{key} = {value}\n", *budget
+            )
+            assert code == 0, (key, err)
+
+    @pytest.mark.parametrize("key", ["config", "rmq_iters", "seed", "alpha", "budget-ms"])
+    def test_other_keys_rejected(self, tmp_path, capsys, key):
+        code, out, err = _run_with_config(
+            capsys, tmp_path / "exp.ini", f"[experiment]\n{key} = 1\n"
+        )
+        assert code == 1
+        assert key in err and "config error" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("key", _TYPED_RUN_OPTIONS)
+    def test_bad_typed_value_exits_1(self, tmp_path, capsys, key):
+        code, out, err = run_cli(capsys, "run", "--" + key.replace("_", "-"), "many")
+        assert (code, out) == (1, "")
+        assert "many" in err
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\n{key} = many\n")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert "many" in err and str(cfg) in err
 
 
 class TestParsing:
@@ -30,6 +159,16 @@ class TestParsing:
     def test_bad_flag_value(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--tables", "many")
         assert code == 1
+
+    @pytest.mark.parametrize("key", _TYPED_RUN_OPTIONS)
+    def test_flag_and_file_give_one_error(self, tmp_path, capsys, key):
+        # one parser per option, so a bad value reads the same from both
+        _, _, flag_err = run_cli(capsys, "run", "--" + key.replace("_", "-"), "many")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\n{key} = many\n")
+        _, _, file_err = run_cli(capsys, "run", "--config", str(cfg))
+        assert flag_err.startswith(f"moqo: config error: bad value for {key!r}: ")
+        assert file_err == flag_err.replace(f"{key!r}:", f"{key!r} in {str(cfg)!r}:")
 
     def test_unknown_algorithm(self, capsys):
         code, _, err = run_cli(
@@ -391,6 +530,23 @@ class TestRun:
         )
         assert code == 2
         assert "no_dir" in err
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="costs overflow to inf on 128-table stars (ROADMAP item 4)",
+    )
+    def test_128_table_star_runs(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "run",
+            "--tables", "128",
+            "--topology", "star",
+            "--budget-iters", "3",
+            "--sample-ms", "3",
+            "--seeds", "3",
+            "--algos", "ii",
+        )
+        assert code == 0, err
 
     def test_exact_reference_flag(self, capsys):
         code, out, _ = run_cli(
