@@ -3,9 +3,11 @@
 # oracles, once through the five search runners, once at 100 tables,
 # where the cost model's selectivity memo fills and flushes, once under
 # a time budget, where no sample may read inf, through the climb
-# statistics, once through a config file, and through a bad flag value
-# (--tables many) and three bad config files (a misspelled section, a
-# bare % in a value, tables = many), which must each exit with code 1.
+# statistics, once through a config file, once through a file whose
+# time budget a --budget-iters flag replaces, and through a bad flag
+# value (--tables many) and three bad config files (a misspelled
+# section, a bare % in a value, tables = many), which must each exit
+# with code 1.
 # Writes its files to $RUNNER_TEMP, or to a fresh temporary directory
 # when that is unset.
 #
@@ -45,6 +47,9 @@ moqo stats --tables 4,6 --seeds 0-1 --rmq-iters 3
 # a config file: an [experiment] section and the README's [catalog]
 printf '[experiment]\ntables = 4\nalgos = rmq,ii\nbudget_iters = 3\nsample_ms = 1\nseeds = 0\n\n[catalog]\nscan_ops = seq:1.0, sample:0.1\njoin_ops = nested_loop:0.001, hash, sort_merge:64\n' > "$tmp/exp.ini"
 moqo run --config "$tmp/exp.ini"
+# a budget flag replaces the file's budget of the other kind
+printf '[experiment]\nbudget_ms = 100\n' > "$tmp/budget.ini"
+moqo run --config "$tmp/budget.ini" --budget-iters 2 --sample-ms 1 --tables 3 --seeds 0 --algos ii
 printf '[experimnet]\ntables = 4\n' > "$tmp/typo.ini"
 expect_config_error "a misspelled section" "$tmp/typo.ini"
 printf '[experiment]\nout = runs%%.csv\n' > "$tmp/percent.ini"

@@ -193,6 +193,10 @@ def _load_config_file(path: str) -> dict:
 def _cmd_run(kwargs: dict) -> int:
     config = kwargs.pop("config", None)
     values = _load_config_file(config) if config else {}
+    # a budget flag replaces the file's budget of either kind
+    if "budget_ms" in kwargs or "budget_iters" in kwargs:
+        values.pop("budget_ms", None)
+        values.pop("budget_iters", None)
     values.update(kwargs)
     # run's own rules: a table count default, and no time budget when
     # only an iteration budget is given

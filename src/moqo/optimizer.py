@@ -147,77 +147,71 @@ def pareto_step(model: CostModel, plan: Plan, memo: dict) -> list:
     got = memo.get(plan)
     if got is not None:
         return got
+    # the candidates in mutations order: per reassembled root its identity,
+    # then its root_moves. Leaves and the unchanged root are plans, the
+    # rest are moves, priced without a node
+    if plan.is_join:
+        outs = pareto_step(model, plan.outer, memo)
+        ins = pareto_step(model, plan.inner, memo)
+        root_op = plan.join_op
+        moves = []
+        for o in outs:
+            for i in ins:
+                moves.append(plan if o is plan.outer and i is plan.inner else (o, i, root_op))
+                moves += root_moves(model, o, i, root_op)
+    else:
+        moves = mutations(model, plan)
+    join_cost = model.join_cost
+    fmts = model.join_fmts
+    three = len(plan.cost) == 3
     # at most two output formats exist; two slots in first-appearance
-    # order avoid a dict in the innermost loop. Slots hold (fmt, cost,
-    # plan or move); only the winning moves get built
-    first = None
-    second = None
-    for cand in _priced_candidates(model, plan, memo):
-        fmt, cost, _ = cand
+    # order avoid a dict in the innermost loop. Only winners get built
+    first = second = first_fmt = first_cost = second_cost = None
+    for move in moves:
+        if move.__class__ is Plan:
+            fmt, cost = move.fmt, move.cost
+        else:
+            # priced in the order build_move builds it, a new child node
+            # (x, y, k) first, so the cost equals the built plan's bit for bit
+            a, b, op = move
+            if a.__class__ is tuple:
+                x, y, k = a
+                acost, acard = join_cost(x.rel, x.cost, x.out_card, y.rel, y.cost, y.out_card, k)
+                abits = x.rel | y.rel
+            else:
+                abits, acost, acard = a.rel, a.cost, a.out_card
+            if b.__class__ is tuple:
+                x, y, k = b
+                bcost, bcard = join_cost(x.rel, x.cost, x.out_card, y.rel, y.cost, y.out_card, k)
+                bbits = x.rel | y.rel
+            else:
+                bbits, bcost, bcard = b.rel, b.cost, b.out_card
+            fmt = fmts[op]
+            cost = join_cost(abits, acost, acard, bbits, bcost, bcard, op)[0]
         if first is None:
-            first = cand
-        elif fmt is first[0]:
-            if strictly_dominates(cost, first[1]):
-                first = cand
-        elif second is None:
-            second = cand
-        elif strictly_dominates(cost, second[1]):
-            second = cand
+            first, first_fmt, first_cost = move, fmt, cost
+        elif second is None and fmt is not first_fmt:
+            second, second_cost = move, cost
+        else:
+            best = first_cost if fmt is first_fmt else second_cost
+            if three:
+                # the default three metrics unrolled, as in Archive.admit
+                c0, c1, c2 = cost
+                b0, b1, b2 = best
+                wins = not (c0 > b0 or c1 > b1 or c2 > b2) and (c0 < b0 or c1 < b1 or c2 < b2)
+            else:
+                wins = strictly_dominates(cost, best)
+            if wins and fmt is first_fmt:
+                first, first_cost = move, cost
+            elif wins:
+                second, second_cost = move, cost
     # a loop, not a comprehension, so that model is no closure cell
     result = []
-    for slot in (first, second):
-        if slot is not None:
-            won = slot[2]
+    for won in (first, second):
+        if won is not None:
             result.append(won if won.__class__ is Plan else build_move(model, won))
     memo[plan] = result
     return result
-
-
-def _priced_candidates(model: CostModel, plan: Plan, memo: dict) -> list:
-    """(fmt, cost, plan or move) for every candidate of one step at this
-    node, in ``mutations`` order: per reassembled root, its identity,
-    then its ``root_moves``. Only leaves and the unchanged root are
-    plans; everything else is priced without building a node."""
-    if not plan.is_join:
-        return [(cand.fmt, cand.cost, cand) for cand in mutations(model, plan)]
-    join_cost = model.join_cost
-    fmts = model.join_fmts
-    outer = plan.outer
-    inner = plan.inner
-    root_op = plan.join_op
-    outs = pareto_step(model, outer, memo)
-    ins = pareto_step(model, inner, memo)
-    out = []
-    for o in outs:
-        for i in ins:
-            moves = root_moves(model, o, i, root_op)
-            if o is outer and i is inner:
-                out.append((fmts[root_op], plan.cost, plan))
-            else:
-                moves.insert(0, (o, i, root_op))
-            # each move is priced in the order build_move builds it, so
-            # its cost equals the built plan's bit for bit
-            for move in moves:
-                a, b, op = move
-                if a.__class__ is tuple:
-                    x, y, sub_op = a
-                    acost, acard = join_cost(
-                        x.rel, x.cost, x.out_card, y.rel, y.cost, y.out_card, sub_op
-                    )
-                    abits = x.rel | y.rel
-                else:
-                    abits, acost, acard = a.rel, a.cost, a.out_card
-                if b.__class__ is tuple:
-                    x, y, sub_op = b
-                    bcost, bcard = join_cost(
-                        x.rel, x.cost, x.out_card, y.rel, y.cost, y.out_card, sub_op
-                    )
-                    bbits = x.rel | y.rel
-                else:
-                    bbits, bcost, bcard = b.rel, b.cost, b.out_card
-                cost = join_cost(abits, acost, acard, bbits, bcost, bcard, op)[0]
-                out.append((fmts[op], cost, move))
-    return out
 
 
 class ClimbResult(NamedTuple):

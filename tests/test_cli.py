@@ -594,6 +594,45 @@ class TestConfigFile:
             line.startswith("sa,") for line in out.strip().splitlines()[1:]
         )
 
+    @pytest.mark.parametrize(
+        "in_file,flags,header",
+        [
+            (
+                "budget_ms = 100",
+                ("--budget-iters", "2", "--sample-ms", "1"),
+                ["# budget_ms=None", "# budget_iters=2"],
+            ),
+            (
+                "budget_iters = 2",
+                ("--budget-ms", "50", "--sample-ms", "25"),
+                ["# budget_ms=50.0", "# budget_iters=None"],
+            ),
+        ],
+        ids=["iters-over-ms", "ms-over-iters"],
+    )
+    def test_budget_flag_replaces_file_budget(self, tmp_path, capsys, in_file, flags, header):
+        out_path = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\n{in_file}\n")
+        code, _, err = run_cli(
+            capsys, "run", "--config", str(cfg), *flags,
+            "--tables", "3", "--seeds", "0", "--algos", "ii", "--out", str(out_path),
+        )
+        assert code == 0, err
+        lines = out_path.read_text().splitlines()
+        assert [line for line in lines if line.startswith("# budget_")] == header
+
+    def test_both_budget_flags_rejected_over_file(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[experiment]\nbudget_ms = 100\n")
+        code, out, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--budget-ms", "50", "--budget-iters", "2",
+            "--sample-ms", "1", "--tables", "3", "--seeds", "0", "--algos", "ii",
+        )
+        assert code == 1
+        assert "exactly one of budget_ms and budget_iters" in err
+        assert out == ""
+
     def test_catalog_section(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(

@@ -606,6 +606,30 @@ class TestParetoStep:
                 break
             plan = adopted
 
+    @pytest.mark.parametrize("n", [8, 50])
+    def test_builds_only_winners(self, n):
+        # a losing candidate is priced, never built; a winning move
+        # builds its root and at most one new child node
+        m = CostModel(generate_query(GenSpec(n=n, topology=Topology.STAR, seed=0)))
+        plan = random_plan(m, random.Random(n))
+        built = []
+        join = m.join
+
+        def counting_join(outer, inner, join_op):
+            node = join(outer, inner, join_op)
+            built.append(node)
+            return node
+
+        m.join = counting_join
+        memo = {}
+        pareto_step(m, plan, memo)
+        existing = set(plan_nodes(plan))
+        won = {node for result in memo.values() for node in result if node.is_join} - existing
+        assert won
+        assert len(built) <= 2 * len(won)
+        kept = won | {child for node in won for child in (node.outer, node.inner)}
+        assert all(node in kept for node in built)
+
     @pytest.mark.parametrize("fn", [pareto_step, mutations])
     def test_climb_functions_hold_no_closure_cells(self, fn):
         # a cell would cost one allocation per call, memo hits included
@@ -935,12 +959,15 @@ def _step_view(plans):
 
 
 _CLIMB_SIZES = (2, 3, 8, 20, 50)
+# at 128 tables, stars 3 and 4 draw random plans whose costs overflow to
+# inf, so the step compares inf components
+_INF_STARS = (3, 4)
 _CLIMB_CASES = [
     (n, topology)
     for n in _CLIMB_SIZES
     for topology in Topology
     if not (topology is Topology.CYCLE and n < 3)
-]
+] + [(128, Topology.STAR)]
 _CLIMB_METRICS = ((0, 1, 2), (0, 2), (1,))
 _CLIMB_CATALOGS = (default_catalog, materializing_catalog)
 
@@ -948,7 +975,7 @@ _CLIMB_CATALOGS = (default_catalog, materializing_catalog)
 def _climb_models(n, topology):
     for metrics in _CLIMB_METRICS:
         for catalog in _CLIMB_CATALOGS:
-            for seed in range(3):
+            for seed in _INF_STARS if n == 128 else range(3):
                 spec = GenSpec(n=n, topology=topology, seed=seed)
                 yield seed, CostModel(generate_query(spec), catalog(), metrics)
 
@@ -965,6 +992,8 @@ class TestClimbDifferential:
         for seed, m in _climb_models(n, topology):
             rng = random.Random(seed)
             start = random_plan(m, rng)
+            if n == 128:
+                assert math.inf in start.cost
             assert _step_view(pareto_step(m, start, {})) == _step_view(
                 _reference_step(m, start, {})
             )
