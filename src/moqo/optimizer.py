@@ -195,7 +195,8 @@ def pareto_step(model: CostModel, plan: Plan, memo: dict) -> list:
         else:
             best = first_cost if fmt is first_fmt else second_cost
             if three:
-                # the default three metrics unrolled, as in Archive.admit
+                # unrolled, as in Archive.admit: a strictly_dominates call
+                # per candidate costs about as much as pricing it
                 c0, c1, c2 = cost
                 b0, b1, b2 = best
                 wins = not (c0 > b0 or c1 > b1 or c2 > b2) and (c0 < b0 or c1 < b1 or c2 < b2)
