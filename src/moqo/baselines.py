@@ -3,12 +3,12 @@ iterative improvement, simulated annealing, two-phase optimization and
 NSGA-II.
 
 The four anytime runners here (``run_ii``, ``run_sa``, ``run_2p`` and
-``run_nsga2``) take exactly (model, budget, seed, progress_sink), which
-``optimizer.rmq_optimize`` takes too before its optional ``cache``, so
-the benchmark harness calls all five alike. Their settings are fixed
-module constants. All five run their iterations through
-``optimizer.anytime``, the one loop that checks the budget and feeds
-the progress sink; II, SA and two-phase optimization are one
+``run_nsga2``) take exactly (model, budget, seed, progress_sink), as
+``optimizer.rmq_optimize`` does, so the benchmark harness calls all
+five alike. Their settings are fixed module constants. All five run
+their iterations through ``optimizer.anytime``, the one loop that checks
+the budget and hands the progress sink the entries of the archive the
+runner returns; II, SA and two-phase optimization are one
 climb-then-anneal loop. The exhaustive oracle and the DP scheme are
 deliberately separate implementations of frontier search; their
 agreement at full precision is the package's keystone correctness
@@ -151,8 +151,7 @@ def _random_neighbor(model: CostModel, plan: Plan, rng: random.Random) -> Plan:
 
 
 def _mutate_at(model: CostModel, plan: Plan, idx: int, rng: random.Random) -> Plan:
-    # the draw picks from mutations(model, plan)[1:], but a join builds
-    # only the drawn move
+    # a join draws one of its root_moves and builds only that one
     if idx == 0:
         if plan.is_join:
             moves = root_moves(model, plan.outer, plan.inner, plan.join_op)
@@ -219,7 +218,7 @@ def _climb_then_anneal(
         frozen = temperature < SA_FREEZE_TEMPERATURE
         return frozen and unimproved >= SA_FREEZE_STAGES
 
-    anytime(budget, step, lambda: archive.entries, progress_sink)
+    anytime(budget, step, archive, progress_sink)
     return archive
 
 
@@ -454,5 +453,5 @@ def run_nsga2(
             combined.sort(key=lambda ind: (ind.rank, -ind.crowding))
             population = combined[:NSGA2_POPULATION]
 
-    anytime(budget, step, lambda: archive.entries, progress_sink)
+    anytime(budget, step, archive, progress_sink)
     return archive

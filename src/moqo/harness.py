@@ -115,6 +115,9 @@ def _check_instances(metrics_count: int, seeds: Sequence) -> None:
         raise ValueError(f"metric count {metrics_count} outside [1, {N_METRICS}]")
     if not seeds:
         raise ValueError("need at least one seed")
+    for seed in seeds:
+        # random.Random(-s) seeds like random.Random(s)
+        check_int("seed", seed, 0)
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"seeds repeat in {tuple(seeds)}")
 
@@ -235,7 +238,8 @@ class _Sampler:
     iteration counter for iteration budgets, which keeps iteration-budget
     experiments bit-reproducible. A mark holds the frontier of the last
     progress call at or before it, the empty set before the first call;
-    ``finalize`` gives the marks after the last call the returned archive.
+    ``finalize`` gives the marks after the last call that call's set,
+    which is the runner's returned archive.
     """
 
     def __init__(self, marks: list, by_iterations: bool) -> None:
@@ -256,9 +260,8 @@ class _Sampler:
             filled.append(self._last)
         self._last = tuple(p.cost for p in plans)
 
-    def finalize(self, archive: Archive) -> None:
-        final = tuple(archive.costs())
-        self.mark_costs.extend([final] * (len(self._marks) - len(self.mark_costs)))
+    def finalize(self) -> None:
+        self.mark_costs.extend([self._last] * (len(self._marks) - len(self.mark_costs)))
 
 
 def _run_one(
@@ -282,7 +285,7 @@ def _run_one(
             "nsga2": run_nsga2,
         }[kind]
         archive = runner(model, budget, seed=seed, progress_sink=sampler)
-    sampler.finalize(archive)
+    sampler.finalize()
     return archive, sampler
 
 

@@ -110,22 +110,13 @@ def build_move(model: CostModel, move: tuple) -> Plan:
 
 
 def mutations(model: CostModel, plan: Plan) -> list:
-    """All single transformations applicable at the plan's root, built.
-
-    The plan itself comes first, so that downstream pruning can retain an
-    unmutated but sub-tree-improved plan. A leaf is followed by its other
-    scan operators, a join by its ``root_moves`` in their order.
-    """
-    if not plan.is_join:
-        out = [plan]
-        for op in range(len(model.catalog.scan_ops)):
-            if op != plan.scan_op:
-                out.append(model.leaf(plan.table, op))
-        return out
-    # a loop, not a comprehension, so that model is no closure cell
+    """A leaf plan itself, then the leaf under each of its other scan
+    operators. A join is transformed through ``root_moves`` and
+    ``build_move`` instead."""
     out = [plan]
-    for move in root_moves(model, plan.outer, plan.inner, plan.join_op):
-        out.append(build_move(model, move))
+    for op in range(len(model.catalog.scan_ops)):
+        if op != plan.scan_op:
+            out.append(model.leaf(plan.table, op))
     return out
 
 
@@ -147,9 +138,9 @@ def pareto_step(model: CostModel, plan: Plan, memo: dict) -> list:
     got = memo.get(plan)
     if got is not None:
         return got
-    # the candidates in mutations order: per reassembled root its identity,
-    # then its root_moves. Leaves and the unchanged root are plans, the
-    # rest are moves, priced without a node
+    # the candidates: per reassembled root its identity, then its
+    # root_moves. Leaves and the unchanged root are plans, the rest are
+    # moves, priced without a node
     if plan.is_join:
         outs = pareto_step(model, plan.outer, memo)
         ins = pareto_step(model, plan.inner, memo)
@@ -315,7 +306,7 @@ def offer_join_combinations(
 
 def approximate_frontiers(
     model: CostModel, plan: Plan, cache: PlanCache, iteration: int
-) -> PlanCache:
+) -> None:
     """Refine cached frontiers along one climbed plan.
 
     Walks the plan post-order. Every leaf offers all scan operators for
@@ -326,7 +317,6 @@ def approximate_frontiers(
     """
     alpha = max(1.0, alpha_schedule(iteration))
     _approximate_rec(model, plan, cache, alpha)
-    return cache
 
 
 def _approximate_rec(
@@ -379,14 +369,14 @@ ProgressSink = Callable[[float, list], None]
 def anytime(
     budget: Budget,
     step: Callable[[int], bool | None],
-    frontier: Callable[[], list],
+    archive: Archive,
     progress_sink: ProgressSink | None,
 ) -> None:
     """The loop every anytime search runs: call ``step`` with iteration
     counts 1, 2, ... until the budget is exhausted or a step returns True.
 
     After every step the progress sink, if given, sees the elapsed time
-    and the current ``frontier()``.
+    and the entries of ``archive``, the archive the search returns.
     """
     start = time.perf_counter()
     iteration = 0
@@ -394,7 +384,7 @@ def anytime(
         iteration += 1
         stop = step(iteration)
         if progress_sink is not None:
-            progress_sink(time.perf_counter() - start, frontier())
+            progress_sink(time.perf_counter() - start, archive.entries)
         if stop:
             break
 
@@ -404,27 +394,22 @@ def rmq_optimize(
     budget: Budget,
     seed: int = 0,
     progress_sink: ProgressSink | None = None,
-    cache: PlanCache | None = None,
 ) -> Archive:
     """Randomized multi-objective optimization of the model's query.
 
     Repeats random plan generation, Pareto climbing and frontier
-    approximation until the budget runs out, then returns a copy of the
-    cached frontier archive of the full table set. The
-    progress sink, if given, sees the live full-set frontier after every
-    iteration and must only snapshot cost vectors.
+    approximation until the budget runs out, then returns the plan
+    cache's frontier archive of the full table set. The progress sink,
+    if given, sees that archive's live entries after every iteration and
+    must only snapshot cost vectors.
     """
     rng = random.Random(seed)
-    if cache is None:
-        cache = PlanCache()
-    full = model.full_set
+    cache = PlanCache()
+    archive = cache.frontier(model.full_set)
 
     def step(iteration: int) -> None:
         climbed = pareto_climb(model, random_plan(model, rng)).plan
         approximate_frontiers(model, climbed, cache, iteration)
 
-    anytime(budget, step, lambda: cache.frontier(full).entries, progress_sink)
-    # a copy, as a caller may pass the same cache to later runs
-    archive = Archive()
-    archive.entries.extend(cache.frontier(full))
+    anytime(budget, step, archive, progress_sink)
     return archive

@@ -1,10 +1,12 @@
 """Plain reference spellings that the tests compare the package against.
 
 The package computes these rules in fused or hand-inlined forms (the
-admission rule in ``core.Archive.admit``, the join formula in ``CostModel.join_cost``, the nested-list shapes of
-``optimizer.random_plan``); the spellings here state each rule once,
-directly, so bit-exact and differential tests can check the fast forms
-against them. Nothing in ``moqo`` calls them.
+admission rule in ``core.Archive.admit``, the join formula in
+``CostModel.join_cost``, the nested-list shapes of
+``optimizer.random_plan``, the root transformations that the climb and
+annealing build one move at a time); the spellings here state each rule
+once, directly, so bit-exact and differential tests can check the fast
+forms against them. Nothing in ``moqo`` calls them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterator
 
 from moqo.core import CostVector, Plan
 from moqo.costmodel import CostModel, JoinOp
+from moqo.optimizer import build_move, mutations, root_moves
 
 
 def _check_lengths(c1: CostVector, c2: CostVector) -> None:
@@ -96,6 +99,19 @@ def plan_cost(model: CostModel, plan: Plan) -> CostVector:
         model, plan.join_op, plan.outer.out_card, plan.inner.out_card, out
     )
     return tuple(l + a + b for l, a, b in zip(local, outer_cost, inner_cost))
+
+
+def root_mutations(model: CostModel, plan: Plan) -> list:
+    """All single transformations applicable at the plan's root, built.
+
+    The plan itself comes first, so that pruning can retain an unmutated
+    but sub-tree-improved plan. A leaf is followed by its other scan
+    operators, a join by its ``root_moves`` in their order.
+    """
+    if not plan.is_join:
+        return mutations(model, plan)
+    moves = root_moves(model, plan.outer, plan.inner, plan.join_op)
+    return [plan] + [build_move(model, move) for move in moves]
 
 
 class _ShapeNode:

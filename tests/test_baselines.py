@@ -353,7 +353,8 @@ ANYTIME_RUNNERS = [rmq_optimize, run_ii, run_sa, run_2p, run_nsga2]
 @pytest.mark.parametrize("runner", ANYTIME_RUNNERS, ids=lambda f: f.__name__)
 class TestSinkContract:
     """Every anytime runner calls its progress sink once per budget
-    iteration, with non-decreasing elapsed times."""
+    iteration, with non-decreasing elapsed times, and returns the archive
+    whose entries the sink saw."""
 
     def test_one_call_per_iteration(self, runner):
         m = model_for(4, 1)
@@ -379,14 +380,26 @@ class TestSinkContract:
         assert calls == []
         assert len(arc) == 0
 
+    def test_returns_the_archive_its_sink_saw(self, runner):
+        m = model_for(4, 1)
+        seen = []
+        arc = runner(
+            m,
+            Budget(max_iterations=3),
+            seed=3,
+            progress_sink=lambda t, plans: seen.append(plans),
+        )
+        assert len(seen) == 3
+        assert all(plans is arc.entries for plans in seen)
+        assert len(arc) > 0
+
 
 def test_runners_share_one_signature():
-    # the harness calls every runner alike; rmq_optimize adds only its
-    # optional plan cache
+    # the harness calls every runner alike
     params = ["model", "budget", "seed", "progress_sink"]
-    for runner in (run_ii, run_sa, run_2p, run_nsga2):
+    for runner in ANYTIME_RUNNERS:
         assert list(inspect.signature(runner).parameters) == params, runner.__name__
-    assert list(inspect.signature(rmq_optimize).parameters) == params + ["cache"]
+
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -199,6 +199,24 @@ class TestParsing:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--tables", "5", "--budget-iters", "3", "--seeds=-3,3"),
+            ("stats", "--tables", "5", "--seeds=-3"),
+            ("oracle", "--tables", "5", "--seed=-3"),
+        ],
+        ids=["run", "stats", "oracle"],
+    )
+    def test_negative_seed_is_config_error(self, capsys, argv):
+        # random.Random(-3) seeds like random.Random(3), so seed -3 would
+        # run instance 3 again
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "config error" in err
+        assert "seed must be an int >= 0, got -3" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "flags",
         [
             ("--algos", "dp:nan", "--budget-iters", "5"),

@@ -445,33 +445,34 @@ class TestSampler:
     A, B, C, D = ((1.0,),), ((2.0,),), ((3.0,),), ((4.0,),)
 
     @staticmethod
-    def _sampled(calls, returned):
-        """Mark cost sets after (ms, cost set) progress calls and a run
-        returning the cost set ``returned``."""
+    def _sampled(calls):
+        """Mark cost sets after (ms, cost set) progress calls and the
+        end of the run."""
         sampler = _Sampler([10.0, 20.0, 30.0], by_iterations=False)
         for position_ms, costs in calls:
             sampler(position_ms / 1000.0, [SimpleNamespace(cost=c) for c in costs])
-        sampler.finalize(SimpleNamespace(costs=lambda: list(returned)))
+        sampler.finalize()
         return sampler.mark_costs
 
     def test_call_on_a_mark_is_read_at_that_mark(self):
-        got = self._sampled([(10.0, self.A), (25.0, self.B)], self.C)
-        assert got == [self.A, self.A, self.C]
+        got = self._sampled([(10.0, self.A), (25.0, self.B)])
+        assert got == [self.A, self.A, self.B]
 
     def test_mark_takes_the_last_of_several_calls(self):
         calls = [(11.0, self.A), (15.0, self.B), (19.0, self.C), (24.0, self.D)]
-        assert self._sampled(calls, self.D) == [(), self.C, self.D]
+        assert self._sampled(calls) == [(), self.C, self.D]
 
     def test_no_calls_read_the_empty_set(self):
-        assert self._sampled([], ()) == [(), (), ()]
+        assert self._sampled([]) == [(), (), ()]
 
     def test_marks_after_an_early_stop_take_the_returned_archive(self):
-        got = self._sampled([(5.0, self.A), (12.0, self.B)], self.C)
-        assert got == [self.A, self.C, self.C]
+        # a runner returns the archive its last progress call showed
+        got = self._sampled([(5.0, self.A), (12.0, self.B)])
+        assert got == [self.A, self.B, self.B]
 
     def test_call_past_the_grid_end(self):
         calls = [(5.0, self.A), (28.0, self.B), (31.0, self.C)]
-        assert self._sampled(calls, self.D) == [self.A, self.A, self.B]
+        assert self._sampled(calls) == [self.A, self.A, self.B]
 
 
 class TestReadSamplesCsv:

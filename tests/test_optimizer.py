@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from moqo import optimizer
 from moqo.core import (
     Archive,
     OutputFormat,
@@ -42,6 +43,7 @@ from reference import (
     linked_random_plan,
     plan_cost,
     plan_nodes,
+    root_mutations,
     weakly_dominates,
 )
 
@@ -147,7 +149,7 @@ class TestMutations:
         m = CostModel(query(3), single_op_catalog())
         ab = m.join(m.leaf(0, 0), m.leaf(1, 0), 0)
         abc = m.join(ab, m.leaf(2, 0), 0)
-        shapes = sorted(shape_signature(p) for p in mutations(m, abc))
+        shapes = sorted(shape_signature(p) for p in root_mutations(m, abc))
         assert shapes == sorted(
             ["((t0t1)t2)", "(t2(t0t1))", "(t0(t1t2))", "((t0t2)t1)"]
         )
@@ -156,7 +158,7 @@ class TestMutations:
         m = CostModel(query(3), single_op_catalog())
         bc = m.join(m.leaf(1, 0), m.leaf(2, 0), 0)
         abc = m.join(m.leaf(0, 0), bc, 0)
-        shapes = sorted(shape_signature(p) for p in mutations(m, abc))
+        shapes = sorted(shape_signature(p) for p in root_mutations(m, abc))
         assert shapes == sorted(
             ["(t0(t1t2))", "((t1t2)t0)", "((t0t1)t2)", "(t1(t0t2))"]
         )
@@ -172,7 +174,7 @@ class TestMutations:
     def test_operator_rule_on_join(self):
         m = CostModel(query(2))
         j = m.join(m.leaf(0, 0), m.leaf(1, 0), 0)
-        ops = sorted(p.join_op for p in mutations(m, j) if p.is_join)
+        ops = sorted(p.join_op for p in root_mutations(m, j) if p.is_join)
         # identity (op 0), commutation (op 0), operator swaps to 1 and 2
         assert ops == [0, 0, 1, 2]
 
@@ -182,7 +184,7 @@ class TestMutations:
         abc = m.join(ab, m.leaf(2, 0), 1)
         rotated = [
             p
-            for p in mutations(m, abc)
+            for p in root_mutations(m, abc)
             if shape_signature(p) == "(t0(t1t2))"
         ]
         assert len(rotated) == 1
@@ -202,7 +204,7 @@ class TestMutations:
         ab = m.join(m.leaf(0, 0), m.leaf(1, 0), 1)
         cd = m.join(m.leaf(2, 0), m.leaf(3, 0), 2)
         root = m.join(ab, cd, 0)
-        out = mutations(m, root)
+        out = root_mutations(m, root)
         assert out[0] is root
         assert [shape_signature(p) for p in out] == [
             "((t0t1)(t2t3))",
@@ -683,6 +685,20 @@ class TestParetoClimb:
                 assert cand.cost[0] >= res.plan.cost[0]
 
 
+def record_plan_caches(monkeypatch) -> list:
+    """The plan caches that later ``rmq_optimize`` calls make, in order;
+    it looks ``PlanCache`` up when called."""
+    made = []
+
+    class RecordedPlanCache(PlanCache):
+        def __init__(self) -> None:
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(optimizer, "PlanCache", RecordedPlanCache)
+    return made
+
+
 class TestPlanCache:
     def test_frontier_starts_empty(self):
         cache = PlanCache()
@@ -698,12 +714,13 @@ class TestPlanCache:
         assert cache.stats()["plans"] == 2
         assert cache.stats() == {"keys": 1, "plans": 2, "max_list": 2}
 
-    def test_plan_count_is_summed_list_lengths(self):
-        # one cache shared by two runs, as a caller may pass it
+    def test_plan_count_is_summed_list_lengths(self, monkeypatch):
         m = CostModel(query(8, topology=Topology.STAR))
-        cache = PlanCache()
+        caches = record_plan_caches(monkeypatch)
         for seed in (0, 1):
-            rmq_optimize(m, Budget(max_iterations=30), seed=seed, cache=cache)
+            archive = rmq_optimize(m, Budget(max_iterations=30), seed=seed)
+            cache = caches[-1]
+            assert archive is cache.frontier(m.full_set)
             plans = cache.stats()["plans"]
             # every table set of the query, through the public lookup
             sizes = [len(cache.frontier(rel)) for rel in range(1, m.full_set + 1)]
@@ -798,13 +815,14 @@ class TestRmqOptimize:
         b = rmq_optimize(m, Budget(max_iterations=300), seed=3)
         assert sorted(a.costs()) == sorted(b.costs())
 
-    def test_seed_changes_explored_subsets(self):
+    def test_seed_changes_explored_subsets(self, monkeypatch):
         # small runs on a wide query visit seed-specific subset families
         m = CostModel(query(8))
+        caches = record_plan_caches(monkeypatch)
         keysets = []
         for seed in (1, 2):
-            cache = PlanCache()
-            rmq_optimize(m, Budget(max_iterations=5), seed=seed, cache=cache)
+            rmq_optimize(m, Budget(max_iterations=5), seed=seed)
+            cache = caches[-1]
             # every frontier a run refines holds at least one plan
             keysets.append(
                 frozenset(bits for bits in range(1, 1 << 8) if cache.frontier(bits))
@@ -839,26 +857,6 @@ class TestRmqOptimize:
             for j, b in enumerate(costs):
                 if i != j:
                     assert not weakly_dominates(a, b)
-
-    def test_shared_cache_reused(self):
-        m = CostModel(query(4))
-        cache = PlanCache()
-        rmq_optimize(m, Budget(max_iterations=50), seed=1, cache=cache)
-        plans_before = cache.stats()["plans"]
-        assert plans_before > 0
-        rmq_optimize(m, Budget(max_iterations=50), seed=2, cache=cache)
-        assert cache.stats()["plans"] >= plans_before
-
-    def test_shared_cache_leaves_earlier_result_alone(self):
-        # the second run replaces the cached full-set frontier; the
-        # archive the first run returned is a copy and keeps its plans
-        m = CostModel(generate_query(GenSpec(n=10, topology=Topology.CHAIN, seed=0)))
-        cache = PlanCache()
-        first = rmq_optimize(m, Budget(max_iterations=1), seed=1, cache=cache)
-        kept = [id(p) for p in first]
-        rmq_optimize(m, Budget(max_iterations=10), seed=2, cache=cache)
-        assert [id(p) for p in cache.frontier(m.full_set)] != kept
-        assert [id(p) for p in first] == kept
 
     def test_converges_to_exact_frontier(self):
         from moqo.baselines import exhaustive_frontier
@@ -914,9 +912,10 @@ def _float_bits(cost):
 
 
 def _reference_step(model, plan, memo):
-    """Plain Pareto step: build every candidate with ``mutations`` and keep,
-    per output format, the first one unless a later one strictly
-    dominates the incumbent. Formats keep their first-appearance order."""
+    """Plain Pareto step: build every candidate with ``root_mutations``
+    and keep, per output format, the first one unless a later one
+    strictly dominates the incumbent. Formats keep their first-appearance
+    order."""
     got = memo.get(plan)
     if got is not None:
         return got
@@ -932,7 +931,7 @@ def _reference_step(model, plan, memo):
         roots = [plan]
     slots = {}
     for root in roots:
-        for cand in mutations(model, root):
+        for cand in root_mutations(model, root):
             best = slots.get(cand.fmt)
             if best is None or strictly_dominates(cand.cost, best.cost):
                 slots[cand.fmt] = cand
@@ -1059,7 +1058,7 @@ def test_cost_part_rejects_overlap(metrics):
 def _reference_mutate_at(model, plan, idx, rng):
     # preorder node index: the root, then the outer subtree, then the inner
     if idx == 0:
-        options = mutations(model, plan)[1:]
+        options = root_mutations(model, plan)[1:]
         if not options:
             return plan
         return options[rng.randrange(len(options))]
@@ -1077,7 +1076,7 @@ def _reference_mutate_at(model, plan, idx, rng):
 
 
 class TestSaNeighborDifferential:
-    """SA's random neighbor equals ``mutations(...)[1:][draw]`` at the
+    """SA's random neighbor equals ``root_mutations(...)[1:][draw]`` at the
     drawn node, with the same draws from a cloned generator."""
 
     def test_matches_mutations_draw(self):
