@@ -20,7 +20,7 @@ from moqo.baselines import (
     run_nsga2,
     run_sa,
 )
-from moqo.costmodel import CostModel, Topology
+from moqo.costmodel import CostModel, Topology, materializing_catalog
 from moqo.harness import instance_model
 from moqo.optimizer import Budget, rmq_optimize
 from moqo.querygen import GenSpec, SelectivityMode, generate_query
@@ -197,27 +197,38 @@ def test_ii_progress_snapshots_pinned(topology, seed):
 
 
 # NSGA-II on the experiment's shape (10-table chains, a per-seed pair of
-# metrics, 20 iterations) and on 50-table stars with all three metrics,
-# whose populations rank into 18-52 fronts.
+# metrics, 20 iterations), on 50-table stars with all three metrics,
+# whose populations rank into 18-52 fronts, and on two shapes where
+# selection keys tie. With one metric (seed 0 draws the first metric,
+# seed 4 the second) each front holds one cost value, so its crowding
+# distance is inf at both ends and 0 inside; on 8-table stars over the
+# materializing catalog the archive holds both output formats.
 # (shape, seed) -> sha1 of the final frontier
 NSGA2_GOLDEN = {
     ("chain10-2m", 0): "52e16f9f410de30311abe9df5b959a92df243017",
     ("chain10-2m", 1): "8a2b483ad6d25925ebcb757b85d522b324594c89",
     ("star50", 0): "5da5b38cd7e16ea459b423489562980032eeeafc",
     ("star50", 1): "0ae19905cfd37d0da99bf8c80f3f2d4126c5f284",
+    ("chain10-1m", 0): "1630267cb4fe766d1abf45bff150a6d375055c65",
+    ("chain10-1m", 4): "800003191a88930e020c0d40ff8cb9d1a60dc5f7",
+    ("star8-materializing", 0): "617bb5f1b76dd82c69b53bde5b97760cdc5c386c",
+    ("star8-materializing", 1): "7e75fcaf32a6f283732d1b9dc79cad3f5a6d6e7d",
+}
+
+# shape -> (tables, topology, metric count, catalog, iterations)
+NSGA2_SHAPES = {
+    "chain10-2m": (10, Topology.CHAIN, 2, None, 20),
+    "star50": (50, Topology.STAR, 3, None, 5),
+    "chain10-1m": (10, Topology.CHAIN, 1, None, 20),
+    "star8-materializing": (8, Topology.STAR, 3, materializing_catalog(), 20),
 }
 
 
 @pytest.mark.parametrize("shape,seed", sorted(NSGA2_GOLDEN))
 def test_nsga2_deep_fronts_pinned(shape, seed):
-    if shape == "chain10-2m":
-        model = instance_model(
-            10, seed, Topology.CHAIN, SelectivityMode.STEINBRUNN, 2, None
-        )
-        iterations = 20
-    else:
-        spec = GenSpec(n=50, topology=Topology.STAR, seed=seed)
-        model = CostModel(generate_query(spec))
-        iterations = 5
+    n, topology, metrics_count, catalog, iterations = NSGA2_SHAPES[shape]
+    model = instance_model(
+        n, seed, topology, SelectivityMode.STEINBRUNN, metrics_count, catalog
+    )
     archive = run_nsga2(model, Budget(max_iterations=iterations), seed=seed)
     assert frontier_digest(archive.costs()) == NSGA2_GOLDEN[(shape, seed)]
