@@ -2,7 +2,8 @@
 # Runs the installed `moqo` console script end to end: once through the
 # oracles, once through the five search runners, once at 100 tables,
 # where the cost model's selectivity memo fills and flushes, once under
-# a time budget, where no sample may read inf, through the climb
+# a time budget and once on one metric, where NSGA-II's selection keys
+# tie, with no sample reading inf in either, through the climb
 # statistics, once through a config file, once through a file whose
 # time budget a --budget-iters flag replaces, and through a bad flag
 # value (--tables many) and three bad config files (a misspelled
@@ -28,6 +29,18 @@ expect_exit_1() {
     fi
 }
 
+# a run whose samples must all read a finite error
+expect_no_inf() {
+    csv="$tmp/$1.csv"
+    shift
+    moqo run "$@" > "$csv"
+    cat "$csv"
+    if grep -q ',inf$' "$csv"; then
+        echo "a sample reads inf"
+        exit 1
+    fi
+}
+
 # the flags make a run finish at once should the file be accepted
 expect_config_error() {
     expect_exit_1 "$1" moqo run --config "$2" --budget-iters 1 --sample-ms 1 --seeds 0 --algos ii
@@ -37,12 +50,9 @@ moqo oracle --tables 4 --seed 0
 moqo run --tables 4 --budget-iters 3 --sample-ms 1 --seeds 0
 moqo run --tables 100 --topology chain --budget-iters 10 --sample-ms 5 --seeds 0 --algos rmq,ii
 # under a time budget every mark must read a finished iteration
-moqo run --tables 4 --budget-ms 200 --sample-ms 100 --seeds 0 --algos rmq,ii > "$tmp/timed.csv"
-cat "$tmp/timed.csv"
-if grep -q ',inf$' "$tmp/timed.csv"; then
-    echo "a sample reads inf"
-    exit 1
-fi
+expect_no_inf timed --tables 4 --budget-ms 200 --sample-ms 100 --seeds 0 --algos rmq,ii
+# on one metric every front holds one cost value, so selection keys tie
+expect_no_inf one-metric --tables 6 --metrics 1 --algos nsga2,rmq --budget-iters 3 --sample-ms 1 --seeds 0
 moqo stats --tables 4,6 --seeds 0-1 --rmq-iters 3
 # a config file: an [experiment] section and the README's [catalog]
 printf '[experiment]\ntables = 4\nalgos = rmq,ii\nbudget_iters = 3\nsample_ms = 1\nseeds = 0\n\n[catalog]\nscan_ops = seq:1.0, sample:0.1\njoin_ops = nested_loop:0.001, hash, sort_merge:64\n' > "$tmp/exp.ini"

@@ -15,7 +15,9 @@ agreement at full precision is the package's keystone correctness
 check. The exhaustive oracle is a plain
 enumeration into one ``Archive`` per table set, built with
 ``CostModel.leaf``/``CostModel.join`` and ``Archive.insert``, so the
-only code it shares with DP is the cost model and the archive.
+only code it shares with DP is the cost model and the archive. NSGA-II
+selects by one key per member, (front rank, -crowding distance), lower
+first: the crowded comparison of Deb et al., IEEE TEVC 2002.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from operator import gt
 
 from .core import Archive, Plan, strictly_dominates
@@ -278,20 +279,11 @@ def run_2p(
     return _climb_then_anneal(model, budget, seed, progress_sink, TWO_PHASE_CLIMBS, start)
 
 
-@dataclass
-class Nsga2Individual:
-    """Ordinal plan encoding: join-position genes pick the next table
-    from the shrinking remaining-table list (left-deep order), followed
-    by per-leaf scan-operator genes and per-join operator genes."""
-
-    genes: list
-    plan: Plan | None = field(repr=False, default=None)
-    rank: int = 0
-    crowding: float = 0.0
-
-
 def gene_bounds(model: CostModel) -> list:
-    """Inclusive upper bound per gene; lower bounds are all zero."""
+    """Inclusive upper bound per gene of NSGA-II's ordinal plan encoding
+    (lower bounds are 0): n - 1 join-position genes, each picking the next
+    left-deep table from the shrinking list of remaining tables, then n
+    per-leaf scan-operator genes and n - 1 per-join operator genes."""
     n = model.query.n
     ordinal = [n - 1 - k for k in range(n - 1)]
     scans = [len(model.catalog.scan_ops) - 1] * n
@@ -300,7 +292,8 @@ def gene_bounds(model: CostModel) -> list:
 
 
 def decode_genes(model: CostModel, genes: list) -> Plan:
-    """Total decoding of any in-range gene array into a left-deep plan."""
+    """Total decoding of any in-range gene array of the ordinal encoding
+    (see ``gene_bounds``) into a left-deep plan."""
     n = model.query.n
     ordinal = genes[: n - 1]
     scans = genes[n - 1 : 2 * n - 1]
@@ -366,33 +359,28 @@ def _crowding_distances(costs: list) -> list:
         for pos in range(1, size - 1):
             i = order[pos]
             if dist[i] != math.inf:
-                dist[i] += (costs[order[pos + 1]][k] - costs[order[pos - 1]][k]) / (
-                    hi - lo
-                )
+                dist[i] += (costs[order[pos + 1]][k] - costs[order[pos - 1]][k]) / (hi - lo)
     return dist
 
 
-def _rank_population(population: list) -> None:
-    ranks = nondominated_ranks([ind.plan.cost for ind in population])
-    for ind, rank in zip(population, ranks):
-        ind.rank = rank
-    by_front: dict = {}
-    for ind in population:
-        by_front.setdefault(ind.rank, []).append(ind)
-    for front in by_front.values():
-        dists = _crowding_distances([ind.plan.cost for ind in front])
-        for ind, d in zip(front, dists):
-            ind.crowding = d
+def _selection_keys(costs: list) -> list:
+    """Each member's (front rank, -crowding distance in its front) key."""
+    fronts: dict = {}
+    for i, rank in enumerate(nondominated_ranks(costs)):
+        fronts.setdefault(rank, []).append(i)
+    keys = [None] * len(costs)
+    for rank, members in fronts.items():
+        dists = _crowding_distances([costs[i] for i in members])
+        for i, d in zip(members, dists):
+            keys[i] = (rank, -d)
+    return keys
 
 
-def _tournament(rng: random.Random, population: list) -> Nsga2Individual:
-    a = population[rng.randrange(len(population))]
-    b = population[rng.randrange(len(population))]
-    if a.rank != b.rank:
-        return a if a.rank < b.rank else b
-    if a.crowding != b.crowding:
-        return a if a.crowding > b.crowding else b
-    return a
+def _tournament(rng: random.Random, keys: list) -> int:
+    """Binary tournament: the index of the lower key, the first on a tie."""
+    a = rng.randrange(len(keys))
+    b = rng.randrange(len(keys))
+    return a if keys[a] <= keys[b] else b
 
 
 def run_nsga2(
@@ -405,22 +393,26 @@ def run_nsga2(
 
     Each budget iteration evaluates exactly ``NSGA2_POPULATION`` new
     individuals: the initial population on the first pass, one offspring
-    generation afterwards. Selection is binary tournament on (rank,
-    crowding); variation is single-point crossover at rate
-    ``NSGA2_CROSSOVER`` plus per-gene uniform resampling at rate
-    1 / gene count.
+    generation afterwards. Selection reads each member's key from
+    ``_selection_keys``, (front rank, -crowding distance), lower first: a
+    binary tournament keeps the first index drawn on a tie, and the
+    survivors head a stable sort of parents plus offspring. Variation is
+    single-point crossover at rate ``NSGA2_CROSSOVER`` plus per-gene
+    uniform resampling at rate 1 / gene count.
     """
     rng = random.Random(seed)
     archive = Archive()
     bounds = gene_bounds(model)
     n_genes = len(bounds)
     mutation_rate = 1.0 / n_genes
+    # (genes, plan) pairs, and their selection keys
     population: list = []
+    keys: list = []
 
-    def evaluate(genes: list) -> Nsga2Individual:
-        ind = Nsga2Individual(genes=genes, plan=decode_genes(model, genes))
-        archive.insert(ind.plan)
-        return ind
+    def evaluate(genes: list) -> tuple:
+        plan = decode_genes(model, genes)
+        archive.insert(plan)
+        return genes, plan
 
     def mutate(genes: list) -> list:
         out = list(genes)
@@ -430,28 +422,27 @@ def run_nsga2(
         return out
 
     def step(iteration: int) -> None:
-        nonlocal population
+        nonlocal population, keys
         if not population:
             population = [
                 evaluate([rng.randint(0, hi) for hi in bounds])
                 for _ in range(NSGA2_POPULATION)
             ]
-            _rank_population(population)
-        else:
-            offspring = []
-            for _ in range(NSGA2_POPULATION):
-                p1 = _tournament(rng, population)
-                p2 = _tournament(rng, population)
-                if n_genes > 1 and rng.random() < NSGA2_CROSSOVER:
-                    cut = rng.randrange(1, n_genes)
-                    genes = p1.genes[:cut] + p2.genes[cut:]
-                else:
-                    genes = list(p1.genes)
-                offspring.append(evaluate(mutate(genes)))
-            combined = population + offspring
-            _rank_population(combined)
-            combined.sort(key=lambda ind: (ind.rank, -ind.crowding))
-            population = combined[:NSGA2_POPULATION]
+            keys = _selection_keys([plan.cost for _, plan in population])
+            return
+        offspring = []
+        for _ in range(NSGA2_POPULATION):
+            genes = population[_tournament(rng, keys)][0]
+            other = population[_tournament(rng, keys)][0]
+            if n_genes > 1 and rng.random() < NSGA2_CROSSOVER:
+                cut = rng.randrange(1, n_genes)
+                genes = genes[:cut] + other[cut:]
+            offspring.append(evaluate(mutate(genes)))
+        combined = population + offspring
+        keys = _selection_keys([plan.cost for _, plan in combined])
+        survivors = sorted(range(len(combined)), key=keys.__getitem__)[:NSGA2_POPULATION]
+        population = [combined[i] for i in survivors]
+        keys = [keys[i] for i in survivors]
 
     anytime(budget, step, archive, progress_sink)
     return archive

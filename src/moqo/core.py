@@ -111,7 +111,7 @@ class Plan:
 
 
 def _scaled(cost: CostVector, alpha: float) -> list:
-    # a function of its own: a comprehension reading alpha in admit makes
+    # 1- and 2-metric limits: a comprehension reading alpha in admit makes
     # alpha a closure cell there, one allocation per call before Python 3.12
     return [alpha * c for c in cost]
 
@@ -147,12 +147,7 @@ class Archive:
         the caller then appends the plan. Raises ``ValueError`` on a
         same-format entry of another length.
         """
-        if alpha == 1.0:
-            # the exact path allocates nothing
-            limit = cost
-        elif alpha > 1.0:
-            limit = _scaled(cost, alpha)
-        else:
+        if not alpha >= 1.0:
             # below 1 or nan
             raise ValueError(f"approximation factor must be >= 1, got {alpha}")
         entries = self.entries
@@ -162,14 +157,18 @@ class Archive:
         n = len(cost)
         if n == 3:
             # all three metrics, the default: unrolled, and the unpacking
-            # raises ValueError on a length mismatch
-            l0, l1, l2 = limit
+            # raises ValueError on a length mismatch; the exact path
+            # allocates nothing, and alpha > 1 scales in place
+            l0, l1, l2 = cost
+            if alpha > 1.0:
+                l0, l1, l2 = alpha * l0, alpha * l1, alpha * l2
             for old in entries:
                 if old.fmt is fmt:
                     a, b, c = old.cost
                     if not (a > l0 or b > l1 or c > l2):
                         return False
         else:
+            limit = cost if alpha == 1.0 else _scaled(cost, alpha)
             for old in entries:
                 if old.fmt is fmt:
                     other = old.cost

@@ -532,6 +532,56 @@ class TestNsga2Pieces:
         with pytest.raises(ValueError):
             nondominated_ranks(costs)
 
+    def test_selection_keys_are_rank_and_minus_crowding(self):
+        costs = [
+            (1.0, 6.0),  # front 0, an end
+            (5.0, 5.0),  # front 1, alone
+            (2.0, 4.0),  # front 0, inside: 3/5 + 4/5
+            (4.0, 2.0),  # front 0, inside: 4/5 + 3/5
+            (6.0, 1.0),  # front 0, an end
+            (7.0, 7.0),  # front 2, alone
+        ]
+        keys = baselines._selection_keys(costs)
+        assert [rank for rank, _ in keys] == [0, 1, 0, 0, 0, 2]
+        assert [keys[i][1] for i in (0, 1, 4, 5)] == [-math.inf] * 4
+        assert keys[2][1] == pytest.approx(-1.4)
+        assert keys[3][1] == pytest.approx(-1.4)
+
+    def test_selection_keys_of_tied_costs(self):
+        # one metric: each front is one value, whose first and last
+        # members in population order are its ends
+        keys = baselines._selection_keys([(2.0,), (1.0,), (2.0,), (2.0,), (1.0,)])
+        inf = math.inf
+        assert keys == [(1, -inf), (0, -inf), (1, 0.0), (1, -inf), (0, -inf)]
+
+    @pytest.mark.parametrize(
+        "draws,winner",
+        [
+            ((0, 1), 0),  # equal keys: the first drawn
+            ((1, 0), 1),
+            ((4, 5), 4),  # equal keys at an infinite crowding distance
+            ((2, 0), 0),  # the lower rank, whatever the crowding
+            ((0, 2), 0),
+            ((0, 3), 3),  # one rank: the larger crowding distance
+            ((3, 0), 3),
+            ((3, 3), 3),
+        ],
+    )
+    def test_tournament_prefers_the_lower_key(self, draws, winner):
+        class Draws:
+            def __init__(self):
+                self.left = list(draws)
+
+            def randrange(self, n):
+                assert n == len(keys)
+                return self.left.pop(0)
+
+        inf = math.inf
+        keys = [(0, -1.0), (0, -1.0), (1, -inf), (0, -2.0), (0, -inf), (0, -inf)]
+        rng = Draws()
+        assert baselines._tournament(rng, keys) == winner
+        assert rng.left == []
+
     def test_gene_bounds_structure(self):
         m = model_for(4, 0)
         bounds = gene_bounds(m)
