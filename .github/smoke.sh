@@ -6,9 +6,9 @@
 # tie, with no sample reading inf in either, through the climb
 # statistics, once through a config file, once through a file whose
 # time budget a --budget-iters flag replaces, and through a bad flag
-# value (--tables many) and three bad config files (a misspelled
-# section, a bare % in a value, tables = many), which must each exit
-# with code 1.
+# value (--tables many), a stats table count above the cap (200) and
+# three bad config files (a misspelled section, a bare % in a value,
+# tables = many), which must each exit with code 1.
 # Writes its files to $RUNNER_TEMP, or to a fresh temporary directory
 # when that is unset.
 #
@@ -54,6 +54,7 @@ expect_no_inf timed --tables 4 --budget-ms 200 --sample-ms 100 --seeds 0 --algos
 # on one metric every front holds one cost value, so selection keys tie
 expect_no_inf one-metric --tables 6 --metrics 1 --algos nsga2,rmq --budget-iters 3 --sample-ms 1 --seeds 0
 moqo stats --tables 4,6 --seeds 0-1 --rmq-iters 3
+expect_exit_1 "a table count above the cap" moqo stats --tables 10,200 --seeds 0
 # a config file: an [experiment] section and the README's [catalog]
 printf '[experiment]\ntables = 4\nalgos = rmq,ii\nbudget_iters = 3\nsample_ms = 1\nseeds = 0\n\n[catalog]\nscan_ops = seq:1.0, sample:0.1\njoin_ops = nested_loop:0.001, hash, sort_merge:64\n' > "$tmp/exp.ini"
 moqo run --config "$tmp/exp.ini"

@@ -22,12 +22,10 @@ from .costmodel import (
     QueryInstance,
     ScanOp,
     Topology,
-    cardinality,
     default_catalog,
     materializing_catalog,
 )
 from .harness import (
-    ClimbStatsConfig,
     ExperimentConfig,
     ReferenceMode,
     SamplePoint,
@@ -36,17 +34,17 @@ from .harness import (
     read_samples_csv,
     run_experiment,
 )
-from .optimizer import Budget, PlanCache, rmq_optimize
+from .optimizer import Budget, rmq_optimize
 from .querygen import GenSpec, SelectivityMode, generate_query
 
 __version__ = "0.1.0"
 
 # the documented surface; building blocks such as pareto_climb,
-# random_plan or nondominated_ranks are imported from their own modules
+# PlanCache, random_plan or nondominated_ranks are imported from their
+# own modules
 __all__ = [
     "Archive",
     "Budget",
-    "ClimbStatsConfig",
     "CostModel",
     "ExperimentConfig",
     "GenSpec",
@@ -54,14 +52,12 @@ __all__ = [
     "OperatorCatalog",
     "OutputFormat",
     "Plan",
-    "PlanCache",
     "QueryInstance",
     "ReferenceMode",
     "SamplePoint",
     "ScanOp",
     "SelectivityMode",
     "Topology",
-    "cardinality",
     "climb_stats",
     "default_catalog",
     "dp_frontier",

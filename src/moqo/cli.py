@@ -25,7 +25,7 @@ from .costmodel import N_METRICS, Topology
 from .harness import (
     BASE_ALGORITHMS,
     SAMPLES_HEADER,
-    ClimbStatsConfig,
+    STATS_TABLE_COUNTS,
     ExperimentConfig,
     ReferenceMode,
     _split_tokens,
@@ -219,7 +219,7 @@ def _cmd_run(kwargs: dict) -> int:
 
 def _cmd_stats(kwargs: dict) -> int:
     try:
-        rows = climb_stats(ClimbStatsConfig(**kwargs))
+        rows = climb_stats(**kwargs)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     print("n,median_path_length,median_pareto_size")
@@ -264,7 +264,7 @@ _COMMANDS = {
                 "table_counts",
                 lambda raw: tuple(int(tok) for tok in _split_tokens(raw)),
                 "comma list of table counts (default "
-                f"{','.join(map(str, ClimbStatsConfig.table_counts))})",
+                f"{','.join(map(str, STATS_TABLE_COUNTS))})",
             )
         },
     ),

@@ -80,25 +80,6 @@ def topology_edges(topology: Topology, n: int) -> list:
     raise ValueError(f"unknown topology {topology}")
 
 
-def cardinality(query: QueryInstance, tables: int) -> float:
-    """Expected output rows of joining exactly the tables of a bit mask.
-
-    Product of member cardinalities, in table order, times the
-    selectivity of every edge with both endpoints inside the set.
-    Join-order independent.
-    """
-    if not 0 < tables < 1 << query.n:
-        raise ValueError(f"table mask {tables:#x} is empty or outside the query")
-    card = 1.0
-    for t in range(tables.bit_length()):
-        if tables >> t & 1:
-            card *= query.cards[t]
-    for a, b, sel in query.edges:
-        if tables >> a & 1 and tables >> b & 1:
-            card *= sel
-    return card
-
-
 @dataclass(frozen=True)
 class ScanOp:
     """Table scan priced per row; ``time_per_row`` differentiates variants."""

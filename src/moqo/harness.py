@@ -409,49 +409,46 @@ def read_samples_csv(path: str) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class ClimbStatsConfig:
-    """Settings for the path-length and Pareto-set-size statistics."""
-
-    table_counts: tuple = (10, 25, 50, 100)
-    topology: Topology = GenSpec.topology
-    selectivity_mode: SelectivityMode = GenSpec.selectivity_mode
-    metrics_count: int = N_METRICS
-    seeds: tuple = tuple(range(20))
-    rmq_iterations: int = 0
-
-    def __post_init__(self) -> None:
-        _check_instances(self.metrics_count, self.seeds)
-        if not self.table_counts:
-            raise ValueError("need at least one table count")
-        if len(set(self.table_counts)) < len(self.table_counts):
-            raise ValueError(f"table counts repeat in {tuple(self.table_counts)}")
-        for n in self.table_counts:
-            GenSpec(n=n, topology=self.topology)  # table count, cycle minimum
-        check_int("rmq_iterations", self.rmq_iterations, 0)
+# the table counts of ``climb_stats`` and ``moqo stats`` when none are given
+STATS_TABLE_COUNTS = (10, 25, 50, 100)
 
 
-def climb_stats(cfg: ClimbStatsConfig) -> list:
+def climb_stats(
+    *,
+    table_counts: tuple = STATS_TABLE_COUNTS,
+    topology: Topology = GenSpec.topology,
+    selectivity_mode: SelectivityMode = GenSpec.selectivity_mode,
+    metrics_count: int = N_METRICS,
+    seeds: tuple = tuple(range(20)),
+    rmq_iterations: int = 0,
+) -> list:
     """Median climb path length, plus median final Pareto-set size when
     optimizer iterations are requested, per table count.
 
-    Returns rows {"n", "median_path_length", "median_pareto_size"};
-    the size is None when rmq_iterations is 0.
+    Every setting is checked, a bad one raising ``ValueError``, before
+    the first run. Returns rows {"n", "median_path_length",
+    "median_pareto_size"}; the size is None when rmq_iterations is 0.
     """
     from .optimizer import pareto_climb, random_plan
 
+    _check_instances(metrics_count, seeds)
+    if not table_counts:
+        raise ValueError("need at least one table count")
+    if len(set(table_counts)) < len(table_counts):
+        raise ValueError(f"table counts repeat in {tuple(table_counts)}")
+    for n in table_counts:
+        GenSpec(n=n, topology=topology)  # table count, cycle minimum
+    check_int("rmq_iterations", rmq_iterations, 0)
     rows = []
-    for n in cfg.table_counts:
+    for n in table_counts:
         paths = []
         sizes = []
-        for seed in cfg.seeds:
-            model = instance_model(n, seed, cfg.topology, cfg.selectivity_mode, cfg.metrics_count)
+        for seed in seeds:
+            model = instance_model(n, seed, topology, selectivity_mode, metrics_count)
             rng = random.Random(seed)
             paths.append(pareto_climb(model, random_plan(model, rng)).path_length)
-            if cfg.rmq_iterations > 0:
-                archive = rmq_optimize(
-                    model, Budget(max_iterations=cfg.rmq_iterations), seed=seed
-                )
+            if rmq_iterations > 0:
+                archive = rmq_optimize(model, Budget(max_iterations=rmq_iterations), seed=seed)
                 sizes.append(len(archive))
         rows.append(
             {

@@ -4,9 +4,12 @@ The package computes these rules in fused or hand-inlined forms (the
 admission rule in ``core.Archive.admit``, the join formula in
 ``CostModel.join_cost``, the nested-list shapes of
 ``optimizer.random_plan``, the root transformations that the climb and
-annealing build one move at a time); the spellings here state each rule
-once, directly, so bit-exact and differential tests can check the fast
-forms against them. Nothing in ``moqo`` calls them.
+annealing build one move at a time, the output cardinality that
+``CostModel.join_cost`` multiplies up join by join); the spellings here
+state each rule once, directly, so bit-exact and differential tests can
+check the fast forms against them. Nothing in ``moqo`` calls them. The
+random trees and splices at the end are shared by the monotonicity
+property tests.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import random
 from typing import Iterator
 
 from moqo.core import CostVector, Plan
-from moqo.costmodel import CostModel, JoinOp
+from moqo.costmodel import CostModel, JoinOp, QueryInstance
 from moqo.optimizer import build_move, mutations, root_moves
 
 
@@ -50,6 +53,25 @@ def approx_dominates(c1: CostVector, c2: CostVector, alpha: float) -> bool:
     return True
 
 
+def cardinality(query: QueryInstance, tables: int) -> float:
+    """Expected output rows of joining exactly the tables of a bit mask.
+
+    Product of member cardinalities, in table order, times the
+    selectivity of every edge with both endpoints inside the set.
+    Join-order independent.
+    """
+    if not 0 < tables < 1 << query.n:
+        raise ValueError(f"table mask {tables:#x} is empty or outside the query")
+    card = 1.0
+    for t in range(tables.bit_length()):
+        if tables >> t & 1:
+            card *= query.cards[t]
+    for a, b, sel in query.edges:
+        if tables >> a & 1 and tables >> b & 1:
+            card *= sel
+    return card
+
+
 def plan_nodes(plan: Plan) -> Iterator[Plan]:
     """Yield all nodes of the tree, root first."""
     stack = [plan]
@@ -72,12 +94,23 @@ def _join_local3(op: JoinOp, out_o: float, out_i: float, out: float) -> tuple:
     return (time, op.buffer_pages, out_o + out_i)
 
 
+def _projected(model: CostModel, local3: tuple) -> CostVector:
+    """A local (time, buffer, disc) cost in the model's metrics, each
+    floored at 1."""
+    return tuple([local3[k] if local3[k] > 1.0 else 1.0 for k in model.metrics])
+
+
 def join_local_cost(
     model: CostModel, join_op: int, out_o: float, out_i: float, out: float
 ) -> CostVector:
     """A join node's local cost in the model's metrics, each floored at 1."""
-    local3 = _join_local3(model.catalog.join_ops[join_op], out_o, out_i, out)
-    return tuple([local3[k] if local3[k] > 1.0 else 1.0 for k in model.metrics])
+    return _projected(model, _join_local3(model.catalog.join_ops[join_op], out_o, out_i, out))
+
+
+def scan_local_cost(model: CostModel, scan_op: int, card: float) -> CostVector:
+    """A scan node's local cost in the model's metrics, each floored at 1."""
+    op = model.catalog.scan_ops[scan_op]
+    return _projected(model, (op.time_per_row * card, op.buffer, op.disc))
 
 
 def plan_cost(model: CostModel, plan: Plan) -> CostVector:
@@ -87,7 +120,7 @@ def plan_cost(model: CostModel, plan: Plan) -> CostVector:
     bit-identical to the cached ``plan.cost``.
     """
     if not plan.is_join:
-        return model.scan_local_cost(plan.scan_op, float(model.query.cards[plan.table]))
+        return scan_local_cost(model, plan.scan_op, float(model.query.cards[plan.table]))
     outer_cost = plan_cost(model, plan.outer)
     inner_cost = plan_cost(model, plan.inner)
     out = (
@@ -171,3 +204,32 @@ def linked_random_plan(model: CostModel, rng: random.Random) -> Plan:
         return model.join(outer, inner, rng.randrange(n_join))
 
     return build(shape)
+
+
+def _random_tree(model: CostModel, tables: list, rng: random.Random) -> Plan:
+    if len(tables) == 1:
+        return model.leaf(tables[0], rng.randrange(len(model.catalog.scan_ops)))
+    cut = rng.randint(1, len(tables) - 1)
+    shuffled = list(tables)
+    rng.shuffle(shuffled)
+    outer = _random_tree(model, shuffled[:cut], rng)
+    inner = _random_tree(model, shuffled[cut:], rng)
+    return model.join(outer, inner, rng.randrange(len(model.catalog.join_ops)))
+
+
+def _splice(model: CostModel, plan: Plan, target: Plan, replacement: Plan) -> Plan:
+    if plan is target:
+        return replacement
+    if not plan.is_join:
+        return plan
+    outer = _splice(model, plan.outer, target, replacement)
+    inner = _splice(model, plan.inner, target, replacement)
+    if outer is plan.outer and inner is plan.inner:
+        return plan
+    return model.join(outer, inner, plan.join_op)
+
+
+def _dominates_within(c1: CostVector, c2: CostVector, rel: float = 1e-9) -> bool:
+    # output cardinalities of one table set differ across tree shapes by
+    # float association noise, so allow a relative slack
+    return all(a <= b + rel * abs(b) for a, b in zip(c1, c2))

@@ -26,7 +26,6 @@ from moqo.cli import main as cli_main
 from moqo.core import Archive, OutputFormat, Plan
 from moqo.costmodel import CostModel, Topology
 from moqo.harness import (
-    ClimbStatsConfig,
     ReferenceMode,
     build_reference,
     climb_stats,
@@ -40,7 +39,14 @@ from moqo.optimizer import (
     rmq_optimize,
 )
 from moqo.querygen import GenSpec, SelectivityMode, generate_query
-from reference import approx_dominates, plan_nodes, weakly_dominates
+from reference import (
+    _dominates_within,
+    _random_tree,
+    _splice,
+    approx_dominates,
+    plan_nodes,
+    weakly_dominates,
+)
 
 
 def verdict(number, ok, detail):
@@ -174,7 +180,7 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_climb_path_growth(self):
-        rows = climb_stats(ClimbStatsConfig())
+        rows = climb_stats()
         medians = {row["n"]: row["median_path_length"] for row in rows}
         bounded = medians[100] <= 10 * medians[10]
         pairs = [(10, 25), (25, 50), (50, 100)]
@@ -229,35 +235,6 @@ def _naive_prune(plans, new_plan, alpha):
     plans[:] = [p for p in plans if not evicts(new_plan, p)]
     plans.append(new_plan)
     return plans
-
-
-def _random_tree(model, tables, rng):
-    if len(tables) == 1:
-        return model.leaf(tables[0], rng.randrange(len(model.catalog.scan_ops)))
-    cut = rng.randint(1, len(tables) - 1)
-    shuffled = list(tables)
-    rng.shuffle(shuffled)
-    outer = _random_tree(model, shuffled[:cut], rng)
-    inner = _random_tree(model, shuffled[cut:], rng)
-    return model.join(outer, inner, rng.randrange(len(model.catalog.join_ops)))
-
-
-def _splice(model, plan, target, replacement):
-    if plan is target:
-        return replacement
-    if not plan.is_join:
-        return plan
-    outer = _splice(model, plan.outer, target, replacement)
-    inner = _splice(model, plan.inner, target, replacement)
-    if outer is plan.outer and inner is plan.inner:
-        return plan
-    return model.join(outer, inner, plan.join_op)
-
-
-def _dominates_within(c1, c2, rel=1e-9):
-    # output cardinalities of one table set differ across tree shapes by
-    # float association noise, so allow a relative slack
-    return all(a <= b + rel * abs(b) for a, b in zip(c1, c2))
 
 
 class TestCriterion7:

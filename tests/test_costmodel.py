@@ -16,14 +16,22 @@ from moqo.costmodel import (
     QueryInstance,
     ScanOp,
     Topology,
-    cardinality,
     default_catalog,
     materializing_catalog,
     topology_edges,
 )
 from moqo.optimizer import Budget, pareto_climb, pareto_step, random_plan, rmq_optimize
 from moqo.querygen import GenSpec, generate_query
-from reference import join_local_cost, plan_cost, plan_nodes, weakly_dominates
+from reference import (
+    _dominates_within,
+    _random_tree,
+    _splice,
+    cardinality,
+    join_local_cost,
+    plan_cost,
+    plan_nodes,
+    weakly_dominates,
+)
 
 
 def _tables(mask):
@@ -386,35 +394,6 @@ class TestCrossSelectivityDifferential:
             for _ in range(10):
                 p = random_plan(m, rng)
                 assert _bits(plan_cost(m, p)) == _bits(p.cost)
-
-
-def _random_tree(model, tables, rng):
-    if len(tables) == 1:
-        return model.leaf(tables[0], rng.randrange(len(model.catalog.scan_ops)))
-    cut = rng.randint(1, len(tables) - 1)
-    shuffled = list(tables)
-    rng.shuffle(shuffled)
-    outer = _random_tree(model, shuffled[:cut], rng)
-    inner = _random_tree(model, shuffled[cut:], rng)
-    return model.join(outer, inner, rng.randrange(len(model.catalog.join_ops)))
-
-
-def _splice(model, plan, target, replacement):
-    if plan is target:
-        return replacement
-    if not plan.is_join:
-        return plan
-    outer = _splice(model, plan.outer, target, replacement)
-    inner = _splice(model, plan.inner, target, replacement)
-    if outer is plan.outer and inner is plan.inner:
-        return plan
-    return model.join(outer, inner, plan.join_op)
-
-
-def _dominates_within(c1, c2, rel=1e-9):
-    # output cardinalities of one table set differ across tree shapes by
-    # float association noise, so allow a relative slack
-    return all(a <= b + rel * abs(b) for a, b in zip(c1, c2))
 
 
 class TestMonotonicity:

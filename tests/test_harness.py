@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from moqo import harness
 from moqo.baselines import (
     dp_frontier,
     exhaustive_frontier,
@@ -27,7 +28,6 @@ from moqo.costmodel import (
     default_catalog,
 )
 from moqo.harness import (
-    ClimbStatsConfig,
     ExperimentConfig,
     ReferenceMode,
     SamplePoint,
@@ -496,35 +496,26 @@ class TestReadSamplesCsv:
 
 class TestClimbStats:
     def test_row_structure(self):
-        cfg = ClimbStatsConfig(
-            table_counts=(3, 5), seeds=(0, 1, 2, 3), rmq_iterations=0
-        )
-        rows = climb_stats(cfg)
+        rows = climb_stats(table_counts=(3, 5), seeds=(0, 1, 2, 3), rmq_iterations=0)
         assert [r["n"] for r in rows] == [3, 5]
         for r in rows:
             assert r["median_path_length"] >= 0
             assert r["median_pareto_size"] is None
 
     def test_sizes_with_rmq_budget(self):
-        cfg = ClimbStatsConfig(
-            table_counts=(4,), seeds=(0, 1), rmq_iterations=30
-        )
-        rows = climb_stats(cfg)
+        rows = climb_stats(table_counts=(4,), seeds=(0, 1), rmq_iterations=30)
         assert rows[0]["median_pareto_size"] >= 1
 
     def test_single_table_paths_tiny(self):
         # a one-table plan can still improve once by switching scans, so
         # medians live in [0, 1]
-        cfg = ClimbStatsConfig(table_counts=(1,), seeds=tuple(range(8)))
-        rows = climb_stats(cfg)
+        rows = climb_stats(table_counts=(1,), seeds=tuple(range(8)))
         assert 0 <= rows[0]["median_path_length"] <= 1
 
     def test_metric_subsets_follow_seed(self):
-        cfg = ClimbStatsConfig(
-            table_counts=(4,), seeds=(0, 1, 2), metrics_count=2
-        )
-        rows_a = climb_stats(cfg)
-        rows_b = climb_stats(cfg)
+        cfg = {"table_counts": (4,), "seeds": (0, 1, 2), "metrics_count": 2}
+        rows_a = climb_stats(**cfg)
+        rows_b = climb_stats(**cfg)
         assert rows_a == rows_b
 
     @pytest.mark.parametrize(
@@ -560,9 +551,12 @@ class TestClimbStats:
             "bool-iters",
         ],
     )
-    def test_config_validated(self, bad):
+    def test_config_validated(self, bad, monkeypatch):
+        built = []
+        monkeypatch.setattr(harness, "instance_model", lambda n, *a, **k: built.append(n))
         with pytest.raises(ValueError):
-            ClimbStatsConfig(**bad)
+            climb_stats(**bad)
+        assert built == []
 
 
 class TestParseCatalogSpec:

@@ -440,6 +440,14 @@ def naive_dp_frontier(model, alpha):
     return root
 
 
+_DP_METRICS = ((0,), (0, 2), (0, 1, 2))
+_DP_CASES = [(i, _DP_METRICS[(i + i // 3) % 3]) for i in range(len(_DIFF_CASES))]
+# each case that draws (0, 2) runs again as "<idx>-traded" with (0, 1):
+# time and buffer space trade off within one output format, while (0, 2)
+# leaves about one plan per format
+_DP_CASES += [(i, (0, 1)) for i, metrics in _DP_CASES if metrics == (0, 2)]
+
+
 class TestDpFrontierDifferential:
     """dp_frontier against naive_dp_frontier at every factor: costs as
     float hex, formats, plan repr and order must agree.
@@ -450,15 +458,17 @@ class TestDpFrontierDifferential:
     """
 
     ALPHAS = (1.0, 1.01, 1.5, 25.0, math.inf)
-    METRICS = ((0,), (0, 2), (0, 1, 2))
     CATALOGS = (default_catalog, materializing_catalog)
 
-    @pytest.mark.parametrize("idx", range(len(_DIFF_CASES)))
-    def test_matches_naive_dp(self, idx):
+    @pytest.mark.parametrize(
+        "idx,metrics",
+        _DP_CASES,
+        ids=[f"{i}-traded" if m == (0, 1) else str(i) for i, m in _DP_CASES],
+    )
+    def test_matches_naive_dp(self, idx, metrics):
         from moqo.baselines import dp_frontier
 
         n, topology = _DIFF_CASES[idx]
-        metrics = self.METRICS[(idx + idx // 3) % 3]
         catalog = self.CATALOGS[idx % 2]()
         spec = GenSpec(n=n, topology=topology, seed=100 + idx)
         m = CostModel(generate_query(spec), catalog, metrics)
@@ -500,10 +510,13 @@ def _climbed_join_inputs(model, seed):
             )
 
 
+# metric subset -> its test id; time and buffer space, (0, 1), trade off
+# within one output format, while (0, 2) leaves about one plan per format
+_OFFER_METRICS = {(0,): "1", (0, 2): "2", (0, 1): "2-traded", (0, 1, 2): "3"}
 _OFFER_CASES = [
     (topology, metrics, catalog)
     for topology in (Topology.CHAIN, Topology.STAR)
-    for metrics in ((0,), (0, 2), (0, 1, 2))
+    for metrics in _OFFER_METRICS
     for catalog in (default_catalog, materializing_catalog)
 ]
 
@@ -511,7 +524,7 @@ _OFFER_CASES = [
 @pytest.mark.parametrize(
     "topology,metrics,catalog",
     _OFFER_CASES,
-    ids=[f"{t.value}-{len(m)}-{c.__name__}" for t, m, c in _OFFER_CASES],
+    ids=[f"{t.value}-{_OFFER_METRICS[m]}-{c.__name__}" for t, m, c in _OFFER_CASES],
 )
 class TestOfferAdmissionDifferential:
     """offer_join_combinations against naive_prune_approx
@@ -967,7 +980,7 @@ _CLIMB_CASES = [
     for topology in Topology
     if not (topology is Topology.CYCLE and n < 3)
 ] + [(128, Topology.STAR)]
-_CLIMB_METRICS = ((0, 1, 2), (0, 2), (1,))
+_CLIMB_METRICS = ((0, 1, 2), (0, 2), (0, 1), (1,))
 _CLIMB_CATALOGS = (default_catalog, materializing_catalog)
 
 
@@ -1041,7 +1054,7 @@ def _priced_input(model, side):
     return side.rel, side.cost, side.out_card
 
 
-@pytest.mark.parametrize("metrics", [(0, 1, 2), (0, 2), (1,)])
+@pytest.mark.parametrize("metrics", [(0, 1, 2), (0, 2), (1,), (0, 1)])
 def test_cost_part_rejects_overlap(metrics):
     m = CostModel(query(4), metrics=metrics)
     ab = m.join(m.leaf(0, 0), m.leaf(1, 0), 0)

@@ -6,7 +6,7 @@ import statistics
 
 import pytest
 
-from moqo.costmodel import Topology, cardinality
+from moqo.costmodel import Topology
 from moqo.querygen import (
     GenSpec,
     SelectivityMode,
@@ -15,6 +15,7 @@ from moqo.querygen import (
     sample_selectivity_minmax,
     sample_selectivity_steinbrunn,
 )
+from reference import cardinality
 
 
 class TestCardinalitySampling:
