@@ -116,9 +116,7 @@ def dp_frontier(
         raise ValueError(f"approximation factor must be >= 1, got {alpha}")
     budget = None if deadline_s is None else Budget(deadline_s=deadline_s)
     n = model.query.n
-    per_level = (
-        alpha ** (1.0 / max(1, n - 1)) if math.isfinite(alpha) else math.inf
-    )
+    per_level = alpha ** (1.0 / max(1, n - 1))
     start = time.perf_counter()
     fronts: dict = {}
     for t in range(n):

@@ -38,10 +38,6 @@ from .harness import (
 from .querygen import GenSpec, SelectivityMode
 
 
-# the table count of ``moqo run`` when neither a flag nor the config sets it
-_RUN_TABLES = 10
-
-
 class _ConfigError(Exception):
     pass
 
@@ -88,7 +84,7 @@ def _choice(cls, what: str):
 # default lives in the library alone
 _OPTIONS = {
     "config": ("config", str, "INI config file; flags override it"),
-    "tables": ("n", int, f"tables per query (default {_RUN_TABLES})"),
+    "tables": ("n", int, f"tables per query (default {ExperimentConfig.n})"),
     "topology": (
         "topology",
         _choice(Topology, "topology"),
@@ -198,11 +194,6 @@ def _cmd_run(kwargs: dict) -> int:
         values.pop("budget_ms", None)
         values.pop("budget_iters", None)
     values.update(kwargs)
-    # run's own rules: a table count default, and no time budget when
-    # only an iteration budget is given
-    values.setdefault("n", _RUN_TABLES)
-    if "budget_iters" in values and "budget_ms" not in values:
-        values["budget_ms"] = None
     try:
         cfg = ExperimentConfig(**values)
     except ValueError as exc:

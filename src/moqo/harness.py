@@ -126,12 +126,12 @@ def _check_instances(metrics_count: int, seeds: Sequence) -> None:
 class ExperimentConfig:
     """Resolved experiment description; one instance drives one CSV."""
 
-    n: int
+    n: int = 10
     topology: Topology = GenSpec.topology
     selectivity_mode: SelectivityMode = GenSpec.selectivity_mode
     metrics_count: int = N_METRICS
     algorithms: tuple = BASE_ALGORITHMS
-    budget_ms: float | None = 3000.0
+    budget_ms: float | None = None  # 3000.0 when budget_iters is None too
     budget_iters: int | None = None
     sample_interval: float = 100.0
     seeds: tuple = tuple(range(20))
@@ -142,8 +142,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         _check_instances(self.metrics_count, self.seeds)
         GenSpec(n=self.n, topology=self.topology)  # table count, cycle minimum
-        if (self.budget_ms is None) == (self.budget_iters is None):
-            raise ValueError("set exactly one of budget_ms and budget_iters")
+        if self.budget_ms is None and self.budget_iters is None:
+            object.__setattr__(self, "budget_ms", 3000.0)
+        elif self.budget_ms is not None and self.budget_iters is not None:
+            raise ValueError("set at most one of budget_ms and budget_iters")
         if self.budget_ms is not None and not 0 <= self.budget_ms < math.inf:
             raise ValueError("budget_ms must be finite and >= 0")
         if self.budget_iters is not None:

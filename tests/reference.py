@@ -53,6 +53,23 @@ def approx_dominates(c1: CostVector, c2: CostVector, alpha: float) -> bool:
     return True
 
 
+def insert(entries: list, plan: Plan, alpha: float = 1.0) -> bool:
+    """The admission rule, one dominance call per comparison: ``plan``
+    is rejected when an entry of its format alpha-dominates it, else it
+    evicts each entry of its format that it weakly dominates and is
+    appended. Returns whether ``plan`` was admitted."""
+    for old in entries:
+        if old.fmt is plan.fmt and approx_dominates(old.cost, plan.cost, alpha):
+            return False
+    entries[:] = [
+        old
+        for old in entries
+        if not (old.fmt is plan.fmt and weakly_dominates(plan.cost, old.cost))
+    ]
+    entries.append(plan)
+    return True
+
+
 def cardinality(query: QueryInstance, tables: int) -> float:
     """Expected output rows of joining exactly the tables of a bit mask.
 

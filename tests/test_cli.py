@@ -648,7 +648,7 @@ class TestConfigFile:
             "--sample-ms", "1", "--tables", "3", "--seeds", "0", "--algos", "ii",
         )
         assert code == 1
-        assert "exactly one of budget_ms and budget_iters" in err
+        assert "at most one of budget_ms and budget_iters" in err
         assert out == ""
 
     def test_catalog_section(self, tmp_path, capsys):

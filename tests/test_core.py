@@ -6,7 +6,7 @@ import random
 import pytest
 
 from moqo.core import MAX_TABLES, Archive, OutputFormat, Plan, strictly_dominates
-from reference import approx_dominates, plan_nodes, weakly_dominates
+from reference import approx_dominates, insert, plan_nodes, weakly_dominates
 
 
 def make_leaf(table=0, cost=(1.0, 1.0), fmt=OutputFormat.PIPELINED, card=10.0):
@@ -184,20 +184,6 @@ class TestPlan:
         assert len({a, b}) == 2
 
 
-def naive_insert(entries, plan):
-    """Archive insertion with one dominance call per comparison."""
-    for old in entries:
-        if old.fmt is plan.fmt and weakly_dominates(old.cost, plan.cost):
-            return False
-    entries[:] = [
-        old
-        for old in entries
-        if not (old.fmt is plan.fmt and weakly_dominates(plan.cost, old.cost))
-    ]
-    entries.append(plan)
-    return True
-
-
 class TestArchive:
     def test_insert_keeps_incomparable(self):
         arc = Archive()
@@ -276,7 +262,7 @@ class TestArchive:
                 fmt = rng.choice([OutputFormat.PIPELINED, OutputFormat.MATERIALIZED])
                 cost = tuple(rng.choice(pool) for _ in range(width))
                 plan = make_leaf(i % MAX_TABLES, cost=cost, fmt=fmt)
-                assert arc.insert(plan) == naive_insert(want, plan)
+                assert arc.insert(plan) == insert(want, plan)
                 assert [id(p) for p in arc] == [id(p) for p in want]
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, math.inf])

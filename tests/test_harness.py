@@ -172,10 +172,26 @@ class TestExperimentConfig:
         assert cfg.grid_end() == 3000.0
 
     def test_exactly_one_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at most one of budget_ms and budget_iters"):
             ExperimentConfig(n=5, budget_ms=100.0, budget_iters=10)
-        with pytest.raises(ValueError):
-            ExperimentConfig(n=5, budget_ms=None, budget_iters=None)
+        # neither budget runs the 3000 ms default
+        cfg = ExperimentConfig(n=5, budget_ms=None, budget_iters=None)
+        assert cfg.budget_ms == 3000.0
+        assert not cfg.by_iterations
+
+    def test_no_arguments_take_the_defaults(self):
+        cfg = ExperimentConfig()
+        assert cfg.n == 10
+        assert cfg.budget_ms == 3000.0
+        assert cfg.budget_iters is None
+
+    def test_iteration_budget_alone_needs_no_budget_ms(self):
+        cfg = ExperimentConfig(n=5, budget_iters=10)
+        assert cfg.by_iterations
+        assert cfg.budget_ms is None
+        lines = cfg.resolved_lines()
+        assert "budget_ms=None" in lines
+        assert "budget_iters=10" in lines
 
     def test_iteration_budget(self):
         cfg = ExperimentConfig(n=5, budget_ms=None, budget_iters=50)

@@ -39,7 +39,7 @@ from moqo.optimizer import (
 )
 from moqo.querygen import GenSpec, generate_query
 from reference import (
-    approx_dominates,
+    insert,
     linked_random_plan,
     plan_cost,
     plan_nodes,
@@ -219,21 +219,6 @@ class TestMutations:
         assert [p.join_op for p in out] == [0, 0, 0, 0, 0, 0, 1, 2]
 
 
-def naive_prune_approx(plans, new_plan, alpha):
-    for old in plans:
-        if old.fmt is new_plan.fmt and approx_dominates(old.cost, new_plan.cost, alpha):
-            return plans
-    plans[:] = [
-        p
-        for p in plans
-        if not (
-            p.fmt is new_plan.fmt and approx_dominates(new_plan.cost, p.cost, 1.0)
-        )
-    ]
-    plans.append(new_plan)
-    return plans
-
-
 def archive_holding(plans):
     """An archive whose entries are exactly ``plans``, in order."""
     archive = Archive()
@@ -296,7 +281,7 @@ class TestPruneApprox:
                     ),
                 )
                 got.insert(plan, alpha)
-                naive_prune_approx(want, plan, alpha)
+                insert(want, plan, alpha)
             assert [id(p) for p in got] == [id(p) for p in want]
 
     @pytest.mark.parametrize("width", [1, 3])
@@ -315,7 +300,7 @@ class TestPruneApprox:
                     ),
                 )
                 got.insert(plan, alpha)
-                naive_prune_approx(want, plan, alpha)
+                insert(want, plan, alpha)
                 assert [id(p) for p in got] == [id(p) for p in want]
 
     def test_length_mismatch_rejected(self):
@@ -352,7 +337,7 @@ class TestOfferJoinCombinations:
             for o in outs:
                 for i in ins:
                     for op in range(3):
-                        naive_prune_approx(want, m.join(o, i, op), alpha)
+                        insert(want, m.join(o, i, op), alpha)
             assert delta == len(got)
             assert [
                 (p.cost, p.join_op, id(p.outer), id(p.inner)) for p in got
@@ -376,7 +361,7 @@ class TestOfferJoinCombinations:
         for o in outs[20:]:
             for i in ins[20:]:
                 for op in range(3):
-                    naive_prune_approx(ref, m.join(o, i, op), 1.3)
+                    insert(ref, m.join(o, i, op), 1.3)
         assert [(p.cost, p.join_op) for p in got] == [
             (p.cost, p.join_op) for p in ref
         ]
@@ -413,14 +398,14 @@ _DIFF_CASES = [
 def naive_dp_frontier(model, alpha):
     """dp_frontier spelled plainly: the same subset enumeration and
     per-level factor, with every join built and offered through
-    naive_prune_approx, and the root list pruned at factor 1."""
+    reference.insert, and the root list pruned at factor 1."""
     n = model.query.n
     per_level = alpha ** (1.0 / max(1, n - 1)) if math.isfinite(alpha) else math.inf
     fronts = {}
     for t in range(n):
         lst = []
         for op in range(len(model.catalog.scan_ops)):
-            naive_prune_approx(lst, model.leaf(t, op), per_level)
+            insert(lst, model.leaf(t, op), per_level)
         fronts[1 << t] = lst
     for size in range(2, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -431,12 +416,12 @@ def naive_dp_frontier(model, alpha):
                 for o in fronts[sub]:
                     for i in fronts[bits ^ sub]:
                         for op in range(len(model.catalog.join_ops)):
-                            naive_prune_approx(target, model.join(o, i, op), per_level)
+                            insert(target, model.join(o, i, op), per_level)
                 sub = (sub - 1) & bits
             fronts[bits] = target
     root = []
     for plan in fronts[(1 << n) - 1]:
-        naive_prune_approx(root, plan, 1.0)
+        insert(root, plan, 1.0)
     return root
 
 
@@ -503,7 +488,7 @@ def _climbed_join_inputs(model, seed):
             start = []
             twin = model.join(node.inner, node.outer, node.join_op)
             for p in [node, twin, *coarse.frontier(node.rel)]:
-                naive_prune_approx(start, p, 25.0)
+                insert(start, p, 25.0)
             yield start, *(
                 [side, *fine.frontier(side.rel), *coarse.frontier(side.rel)]
                 for side in (node.outer, node.inner)
@@ -527,7 +512,7 @@ _OFFER_CASES = [
     ids=[f"{t.value}-{_OFFER_METRICS[m]}-{c.__name__}" for t, m, c in _OFFER_CASES],
 )
 class TestOfferAdmissionDifferential:
-    """offer_join_combinations against naive_prune_approx
+    """offer_join_combinations against reference.insert
     over built plans, on the children of climbed plans and non-empty
     start lists: costs as float hex, formats, plan repr and list order
     must agree, and so must the returned length change."""
@@ -547,7 +532,7 @@ class TestOfferAdmissionDifferential:
                 for o in outs:
                     for i in ins:
                         for op in range(n_ops):
-                            naive_prune_approx(want, m.join(o, i, op), alpha)
+                            insert(want, m.join(o, i, op), alpha)
                 assert _offer_view(got) == _offer_view(want)
                 assert delta == len(got) - len(start)
 
@@ -788,7 +773,7 @@ class TestApproximateFrontiers:
         for o in cache.frontier(0b1):
             for i in cache.frontier(0b10):
                 for op in range(3):
-                    naive_prune_approx(naive, m.join(o, i, op), 1.0)
+                    insert(naive, m.join(o, i, op), 1.0)
         assert sorted(p.cost for p in full) == sorted(p.cost for p in naive)
 
     def test_idempotent_at_same_iteration(self):
