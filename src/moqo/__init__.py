@@ -23,7 +23,6 @@ from .costmodel import (
     ScanOp,
     Topology,
     default_catalog,
-    materializing_catalog,
 )
 from .harness import (
     ExperimentConfig,
@@ -64,7 +63,6 @@ __all__ = [
     "epsilon_indicator",
     "exhaustive_frontier",
     "generate_query",
-    "materializing_catalog",
     "read_samples_csv",
     "rmq_optimize",
     "run_2p",

@@ -72,7 +72,7 @@ def exhaustive_frontier(model: CostModel) -> Archive:
     if n > MAX_EXHAUSTIVE_TABLES:
         raise ValueError(
             f"exhaustive enumeration supports at most {MAX_EXHAUSTIVE_TABLES} "
-            f"tables, got {n}"
+            f"tables, got {n}; DP at alpha 1 is exact too"
         )
     fronts: dict = {}
     for t in range(n):

@@ -20,10 +20,11 @@ import argparse
 import configparser
 import sys
 
-from .baselines import MAX_EXHAUSTIVE_TABLES, dp_frontier, exhaustive_frontier
+from .baselines import dp_frontier, exhaustive_frontier
 from .costmodel import N_METRICS, Topology
 from .harness import (
     BASE_ALGORITHMS,
+    DEFAULT_BUDGET_MS,
     SAMPLES_HEADER,
     STATS_TABLE_COUNTS,
     ExperimentConfig,
@@ -106,7 +107,7 @@ _OPTIONS = {
         lambda raw: tuple(_split_tokens(raw)),
         f"comma list of {', '.join(BASE_ALGORITHMS)}, dp:<alpha>",
     ),
-    "budget_ms": ("budget_ms", float, "time budget per run"),
+    "budget_ms": ("budget_ms", float, f"time budget per run, ms (default {DEFAULT_BUDGET_MS:g})"),
     "budget_iters": ("budget_iters", int, "iteration budget per run"),
     "sample_ms": ("sample_interval", float, "sampling interval (iterations under --budget-iters)"),
     "seeds": ("seeds", _parse_seeds, "comma list and/or A-B ranges"),
@@ -224,15 +225,10 @@ def _cmd_oracle(kwargs: dict) -> int:
     alpha = kwargs.pop("alpha", None)
     try:
         model = instance_model(**kwargs)
-        if alpha is not None:
-            archive = dp_frontier(model, alpha)
-        elif kwargs["n"] > MAX_EXHAUSTIVE_TABLES:
-            raise ValueError(
-                f"exhaustive oracle supports at most {MAX_EXHAUSTIVE_TABLES} tables; "
-                "pass --alpha to use DP"
-            )
-        else:
+        if alpha is None:
             archive = exhaustive_frontier(model)
+        else:
+            archive = dp_frontier(model, alpha)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     costs = sorted(archive.costs())

@@ -43,8 +43,7 @@ class QueryInstance:
     topology: Topology
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_TABLES:
-            raise ValueError(f"table count {self.n} outside [1, {MAX_TABLES}]")
+        expected = topology_edges(self.topology, self.n)
         if len(self.cards) != self.n:
             raise ValueError("need one cardinality per table")
         if any(c < 1 for c in self.cards):
@@ -59,7 +58,6 @@ class QueryInstance:
             seen.add(key)
             if not 0.0 < sel <= 1.0:
                 raise ValueError(f"selectivity {sel} outside (0, 1]")
-        expected = topology_edges(self.topology, self.n)
         if seen != {(min(a, b), max(a, b)) for a, b in expected}:
             raise ValueError(
                 f"edge set does not match {self.topology.value} over {self.n} tables"
@@ -68,7 +66,10 @@ class QueryInstance:
 
 def topology_edges(topology: Topology, n: int) -> list:
     """The table pairs of a topology over n tables, in the order query
-    generation draws their selectivities; a cycle closes with (n-1, 0)."""
+    generation draws their selectivities; a cycle closes with (n-1, 0).
+    Every query reads it, so it holds the one table-count check."""
+    if not 1 <= n <= MAX_TABLES:
+        raise ValueError(f"table count {n} outside [1, {MAX_TABLES}]")
     if topology is Topology.CHAIN:
         return [(i, i + 1) for i in range(n - 1)]
     if topology is Topology.CYCLE:
@@ -141,19 +142,6 @@ def default_catalog() -> OperatorCatalog:
             JoinOp("sort_merge", kind="sort_merge"),
         ),
     )
-
-
-def materializing_catalog() -> OperatorCatalog:
-    """Default catalog variant whose sort-merge join materializes its
-    output; exercises mixed-format handling."""
-    base = default_catalog()
-    joins = tuple(
-        JoinOp(op.name, kind=op.kind, fmt=OutputFormat.MATERIALIZED)
-        if op.kind == "sort_merge"
-        else op
-        for op in base.join_ops
-    )
-    return OperatorCatalog(scan_ops=base.scan_ops, join_ops=joins)
 
 
 class CostModel:

@@ -33,6 +33,8 @@ from .querygen import GenSpec, SelectivityMode, generate_query
 
 BASE_ALGORITHMS = ("rmq", "ii", "sa", "2p", "nsga2")
 MAX_EXACT_REFERENCE_TABLES = 7
+# an experiment's time budget when it is given no budget
+DEFAULT_BUDGET_MS = 3000.0
 # largest sample grid of one (seed, algorithm) cell
 _MAX_GRID_MARKS = 100_000
 
@@ -131,7 +133,7 @@ class ExperimentConfig:
     selectivity_mode: SelectivityMode = GenSpec.selectivity_mode
     metrics_count: int = N_METRICS
     algorithms: tuple = BASE_ALGORITHMS
-    budget_ms: float | None = None  # 3000.0 when budget_iters is None too
+    budget_ms: float | None = None  # DEFAULT_BUDGET_MS when budget_iters is None too
     budget_iters: int | None = None
     sample_interval: float = 100.0
     seeds: tuple = tuple(range(20))
@@ -143,7 +145,7 @@ class ExperimentConfig:
         _check_instances(self.metrics_count, self.seeds)
         GenSpec(n=self.n, topology=self.topology)  # table count, cycle minimum
         if self.budget_ms is None and self.budget_iters is None:
-            object.__setattr__(self, "budget_ms", 3000.0)
+            object.__setattr__(self, "budget_ms", DEFAULT_BUDGET_MS)
         elif self.budget_ms is not None and self.budget_iters is not None:
             raise ValueError("set at most one of budget_ms and budget_iters")
         if self.budget_ms is not None and not 0 <= self.budget_ms < math.inf:

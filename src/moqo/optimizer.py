@@ -341,26 +341,24 @@ def _approximate_rec(
 
 @dataclass(frozen=True)
 class Budget:
-    """Search budget: a wall-clock deadline, an iteration cap, or both."""
+    """Search budget: an iteration cap or a wall-clock deadline, not both."""
 
     max_iterations: int | None = None
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iterations is None and self.deadline_s in (None, math.inf):
-            raise ValueError("budget needs an iteration cap or a finite deadline")
-        if self.max_iterations is not None:
+        if (self.max_iterations is None) == (self.deadline_s is None):
+            raise ValueError("budget needs exactly one of max_iterations and deadline_s")
+        if self.deadline_s is None:
             check_int("max_iterations", self.max_iterations, 0)
-        # written as not-(x >= 0) so that nan fails too
-        if self.deadline_s is not None and not self.deadline_s >= 0:
-            raise ValueError("deadline must be >= 0")
+        # written as not-(0 <= x < inf) so that nan fails too
+        elif not 0 <= self.deadline_s < math.inf:
+            raise ValueError("deadline must be finite and >= 0")
 
     def exhausted(self, iterations_done: int, elapsed_s: float) -> bool:
-        if self.max_iterations is not None and iterations_done >= self.max_iterations:
-            return True
-        if self.deadline_s is not None and elapsed_s >= self.deadline_s:
-            return True
-        return False
+        if self.deadline_s is None:
+            return iterations_done >= self.max_iterations
+        return elapsed_s >= self.deadline_s
 
 
 ProgressSink = Callable[[float, list], None]

@@ -8,8 +8,8 @@ annealing build one move at a time, the output cardinality that
 ``CostModel.join_cost`` multiplies up join by join); the spellings here
 state each rule once, directly, so bit-exact and differential tests can
 check the fast forms against them. Nothing in ``moqo`` calls them. The
-random trees and splices at the end are shared by the monotonicity
-property tests.
+random trees and splices near the end are shared by the monotonicity
+property tests, and the fixtures at the end by several test modules.
 """
 
 from __future__ import annotations
@@ -18,9 +18,17 @@ import math
 import random
 from typing import Iterator
 
-from moqo.core import CostVector, Plan
-from moqo.costmodel import CostModel, JoinOp, QueryInstance
+from moqo.core import CostVector, OutputFormat, Plan
+from moqo.costmodel import (
+    CostModel,
+    JoinOp,
+    OperatorCatalog,
+    QueryInstance,
+    Topology,
+    default_catalog,
+)
 from moqo.optimizer import build_move, mutations, root_moves
+from moqo.querygen import GenSpec, SelectivityMode, generate_query
 
 
 def _check_lengths(c1: CostVector, c2: CostVector) -> None:
@@ -250,3 +258,32 @@ def _dominates_within(c1: CostVector, c2: CostVector, rel: float = 1e-9) -> bool
     # output cardinalities of one table set differ across tree shapes by
     # float association noise, so allow a relative slack
     return all(a <= b + rel * abs(b) for a, b in zip(c1, c2))
+
+
+def model_for(n, seed, topology=Topology.CHAIN, metrics=(0, 1, 2), mode=None):
+    """The default-catalog cost model of generated query ``seed``."""
+    spec = GenSpec(
+        n=n,
+        topology=topology,
+        selectivity_mode=mode if mode is not None else SelectivityMode.STEINBRUNN,
+        seed=seed,
+    )
+    return CostModel(generate_query(spec), None, metrics)
+
+
+def materializing_catalog() -> OperatorCatalog:
+    """Default catalog variant whose sort-merge join materializes its
+    output; exercises mixed-format handling."""
+    base = default_catalog()
+    joins = tuple(
+        JoinOp(op.name, kind=op.kind, fmt=OutputFormat.MATERIALIZED)
+        if op.kind == "sort_merge"
+        else op
+        for op in base.join_ops
+    )
+    return OperatorCatalog(scan_ops=base.scan_ops, join_ops=joins)
+
+
+# short annealing stages and fast cooling, so SA freezes within a few
+# dozen iterations
+SA_FREEZE_SETTINGS = dict(SA_NEIGHBORS_PER_TABLE=2, SA_COOLING=0.5, SA_FREEZE_STAGES=1)

@@ -19,7 +19,7 @@ from moqo.baselines import (
     run_nsga2,
     run_sa,
 )
-from moqo.core import Archive, OutputFormat
+from moqo.core import Archive
 from moqo.costmodel import (
     CostModel,
     JoinOp,
@@ -28,27 +28,17 @@ from moqo.costmodel import (
     ScanOp,
     Topology,
     default_catalog,
-    materializing_catalog,
 )
 from moqo.harness import epsilon_indicator
 from moqo.optimizer import Budget, rmq_optimize
 from moqo.querygen import GenSpec, SelectivityMode, generate_query
-from reference import plan_nodes, weakly_dominates
-
-
-def model_for(n, seed, topology=Topology.CHAIN, metrics=(0, 1, 2), mode=None):
-    spec = GenSpec(
-        n=n,
-        topology=topology,
-        selectivity_mode=mode if mode is not None else SelectivityMode.STEINBRUNN,
-        seed=seed,
-    )
-    return CostModel(generate_query(spec), None, metrics)
-
-
-# short annealing stages and fast cooling, so SA freezes within a few
-# dozen iterations
-SA_FREEZE_SETTINGS = dict(SA_NEIGHBORS_PER_TABLE=2, SA_COOLING=0.5, SA_FREEZE_STAGES=1)
+from reference import (
+    SA_FREEZE_SETTINGS,
+    materializing_catalog,
+    model_for,
+    plan_nodes,
+    weakly_dominates,
+)
 
 
 def enumerate_all_plans(model, bits=None):

@@ -32,7 +32,7 @@ _SURFACE = {
         ),
         ("--metrics", "number of cost metrics to optimize, 1-3 (default 3)", False),
         ("--algos", "comma list of rmq, ii, sa, 2p, nsga2, dp:<alpha>", False),
-        ("--budget-ms", "time budget per run", False),
+        ("--budget-ms", "time budget per run, ms (default 3000)", False),
         ("--budget-iters", "iteration budget per run", False),
         ("--sample-ms", "sampling interval (iterations under --budget-iters)", False),
         ("--seeds", "comma list and/or A-B ranges", False),

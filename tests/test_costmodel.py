@@ -17,7 +17,6 @@ from moqo.costmodel import (
     ScanOp,
     Topology,
     default_catalog,
-    materializing_catalog,
     topology_edges,
 )
 from moqo.optimizer import Budget, pareto_climb, pareto_step, random_plan, rmq_optimize
@@ -28,6 +27,8 @@ from reference import (
     _splice,
     cardinality,
     join_local_cost,
+    materializing_catalog,
+    model_for,
     plan_cost,
     plan_nodes,
     weakly_dominates,
@@ -83,6 +84,24 @@ class TestQueryInstance:
         assert topology_edges(Topology.STAR, 4) == [(0, 1), (0, 2), (0, 3)]
         with pytest.raises(ValueError, match="at least 3"):
             topology_edges(Topology.CYCLE, 2)
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_topology_edges_check_table_count(self, topology):
+        # the one table-count check, made before a cycle's minimum
+        for n in (0, MAX_TABLES + 1):
+            with pytest.raises(ValueError, match=rf"table count {n} outside \[1, 128\]"):
+                topology_edges(topology, n)
+        assert len(topology_edges(topology, MAX_TABLES)) >= MAX_TABLES - 1
+        if topology is not Topology.CYCLE:
+            assert topology_edges(topology, 1) == []
+
+    def test_query_and_spec_reject_table_count_alike(self):
+        with pytest.raises(ValueError, match=r"table count 129 outside \[1, 128\]"):
+            GenSpec(n=129)
+        with pytest.raises(ValueError, match=r"table count 0 outside \[1, 128\]"):
+            QueryInstance(n=0, cards=(), edges=(), topology=Topology.CHAIN)
+        with pytest.raises(ValueError, match=r"table count 0 outside \[1, 128\]"):
+            QueryInstance(n=0, cards=(5,), edges=(), topology=Topology.STAR)
 
     @pytest.mark.parametrize("topology", list(Topology))
     def test_edges_match_in_either_endpoint_order(self, topology):
@@ -441,21 +460,17 @@ def _hex_costs(costs):
     return sorted(tuple(v.hex() for v in cost) for cost in costs)
 
 
-def _model(n, topology, seed):
-    return CostModel(generate_query(GenSpec(n=n, topology=topology, seed=seed)))
-
-
 def _memo_cases():
     """Per case, the exact hex costs of one fresh run and its model."""
     for n, seed in ((8, 0), (50, 1)):
-        m = _model(n, Topology.STAR, seed)
+        m = model_for(n, seed, Topology.STAR)
         yield _hex_costs(rmq_optimize(m, Budget(max_iterations=3), seed=seed).costs()), m
     for runner in (run_ii, run_nsga2):
-        m = _model(10, Topology.CHAIN, 2)
+        m = model_for(10, 2, Topology.CHAIN)
         yield _hex_costs(runner(m, Budget(max_iterations=3), seed=2).costs()), m
-    m = _model(7, Topology.CYCLE, 3)
+    m = model_for(7, 3, Topology.CYCLE)
     yield _hex_costs(dp_frontier(m, 1.0).costs()), m
-    m = _model(128, Topology.STAR, 4)
+    m = model_for(128, 4, Topology.STAR)
     rng = random.Random(4)
     plans = [random_plan(m, rng) for _ in range(5)]
     for p in plans:
@@ -477,7 +492,7 @@ class TestCrossSelectivityMemoBound:
         # models of up to 8 tables hold every ordered disjoint pair
         # (3**8 - 2**9 + 1 of them at 8 tables) and never flush
         assert costmodel._CROSS_SEL_ENTRIES > 3**8 - 2**9 + 1
-        m = _model(100, Topology.CHAIN, 0)
+        m = model_for(100, 0, Topology.CHAIN)
         sizes = []
 
         def sink(elapsed, frontier):

@@ -20,10 +20,11 @@ from moqo.baselines import (
     run_nsga2,
     run_sa,
 )
-from moqo.costmodel import CostModel, Topology, materializing_catalog
+from moqo.costmodel import CostModel, Topology
 from moqo.harness import instance_model
 from moqo.optimizer import Budget, rmq_optimize
 from moqo.querygen import GenSpec, SelectivityMode, generate_query
+from reference import SA_FREEZE_SETTINGS, materializing_catalog, model_for
 
 RUNNERS = {
     "rmq_optimize": rmq_optimize,
@@ -118,14 +119,8 @@ def test_oracle_digest_pinned(case):
     assert frontier_digest(archive.costs()) == ORACLE_GOLDEN[case]
 
 
-def _model(topology, seed, metrics=(0, 1, 2)):
-    spec = GenSpec(n=12, topology=Topology(topology), seed=seed)
-    return CostModel(generate_query(spec), metrics=metrics)
-
-
 # SA with short stages and fast cooling freezes well inside its cap.
 # (topology, seed) -> (iterations until frozen, sha1 of the final frontier)
-SA_FREEZE_SETTINGS = dict(SA_NEIGHBORS_PER_TABLE=2, SA_COOLING=0.5, SA_FREEZE_STAGES=1)
 SA_FREEZE_GOLDEN = {
     ("chain", 0): (13, "a6a2cc2e672cda3275978b2dfef26d12580bec63"),
     ("chain", 1): (12, "bde3441e5a505301e3a2e1e4c9a752b6a97fc359"),
@@ -140,7 +135,7 @@ def test_sa_until_frozen_pinned(monkeypatch, topology, seed):
         monkeypatch.setattr(baselines, name, value)
     steps = []
     archive = run_sa(
-        _model(topology, seed),
+        model_for(12, seed, Topology(topology)),
         Budget(max_iterations=1000),
         seed=seed,
         progress_sink=lambda elapsed, plans: steps.append(elapsed),
@@ -167,7 +162,8 @@ TWO_PHASE_GOLDEN = {
 @pytest.mark.parametrize("climbs,topology,seed", sorted(TWO_PHASE_GOLDEN))
 def test_two_phase_hand_off_pinned(monkeypatch, climbs, topology, seed):
     monkeypatch.setattr(baselines, "TWO_PHASE_CLIMBS", climbs)
-    archive = run_2p(_model(topology, seed, (0, 1)), Budget(max_iterations=8), seed=seed)
+    model = model_for(12, seed, Topology(topology), (0, 1))
+    archive = run_2p(model, Budget(max_iterations=8), seed=seed)
     assert frontier_digest(archive.costs()) == TWO_PHASE_GOLDEN[(climbs, topology, seed)]
 
 
@@ -189,7 +185,10 @@ def test_ii_progress_snapshots_pinned(topology, seed):
         snapshots.append(frontier_digest([p.cost for p in plans]))
 
     archive = run_ii(
-        _model(topology, seed), Budget(max_iterations=8), seed=seed, progress_sink=sink
+        model_for(12, seed, Topology(topology)),
+        Budget(max_iterations=8),
+        seed=seed,
+        progress_sink=sink,
     )
     assert snapshots[-1] == frontier_digest(archive.costs())
     digest = hashlib.sha1("\n".join(snapshots).encode()).hexdigest()

@@ -20,7 +20,6 @@ from moqo.baselines import (
 from moqo.core import Archive, OutputFormat
 from moqo.costmodel import (
     JOIN_KINDS,
-    CostModel,
     JoinOp,
     OperatorCatalog,
     ScanOp,
@@ -41,7 +40,7 @@ from moqo.harness import (
     run_experiment,
 )
 from moqo.optimizer import Budget, rmq_optimize
-from moqo.querygen import GenSpec, SelectivityMode, generate_query
+from reference import model_for
 
 
 class TestEpsilonIndicator:
@@ -131,13 +130,9 @@ class TestEpsilonIndicator:
         assert a == 2.0 * b
 
 
-def _model(n=4, seed=0, topology=Topology.CHAIN):
-    return CostModel(generate_query(GenSpec(n=n, topology=topology, seed=seed)))
-
-
 class TestBuildReference:
     def test_union_prunes_across_runs(self):
-        m = _model()
+        m = model_for(4, 0)
         runs = {}
         for seed in (1, 2, 3):
             runs[f"ii{seed}"] = run_ii(m, Budget(max_iterations=60), seed=seed)
@@ -149,17 +144,17 @@ class TestBuildReference:
         assert sorted(ref) == sorted(merged.costs())
 
     def test_union_of_empty_runs_is_empty(self):
-        assert build_reference(_model(), {}, ReferenceMode.UNION) == []
+        assert build_reference(model_for(4, 0), {}, ReferenceMode.UNION) == []
 
     def test_exact_mode_near_exhaustive(self):
-        m = _model(n=4, seed=5)
+        m = model_for(4, 5)
         ref = build_reference(m, {}, ReferenceMode.EXACT)
         exact = exhaustive_frontier(m).costs()
         assert epsilon_indicator(exact, ref) <= 1.01
         assert epsilon_indicator(ref, exact) <= 1.01
 
     def test_exact_mode_size_guard(self):
-        m = _model(n=8)
+        m = model_for(8, 0)
         with pytest.raises(ValueError):
             build_reference(m, {}, ReferenceMode.EXACT)
 

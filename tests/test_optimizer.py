@@ -21,7 +21,6 @@ from moqo.costmodel import (
     ScanOp,
     Topology,
     default_catalog,
-    materializing_catalog,
 )
 from moqo.optimizer import (
     Budget,
@@ -41,6 +40,7 @@ from moqo.querygen import GenSpec, generate_query
 from reference import (
     insert,
     linked_random_plan,
+    materializing_catalog,
     plan_cost,
     plan_nodes,
     root_mutations,
@@ -896,13 +896,20 @@ class TestBudget:
     def test_infinite_deadline_needs_cap(self):
         with pytest.raises(ValueError):
             Budget(deadline_s=math.inf)
-        assert not Budget(max_iterations=3, deadline_s=math.inf).exhausted(2, 1e9)
+        # a cap alone never reads the clock
+        assert not Budget(max_iterations=3).exhausted(2, 1e9)
+
+    def test_both_limits_rejected(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            Budget(max_iterations=3, deadline_s=1.0)
 
     def test_exhaustion_logic(self):
-        b = Budget(max_iterations=10, deadline_s=5.0)
-        assert not b.exhausted(9, 4.9)
-        assert b.exhausted(10, 0.0)
-        assert b.exhausted(0, 5.0)
+        cap = Budget(max_iterations=10)
+        assert not cap.exhausted(9, 1e9)
+        assert cap.exhausted(10, 0.0)
+        deadline = Budget(deadline_s=5.0)
+        assert not deadline.exhausted(10**9, 4.9)
+        assert deadline.exhausted(0, 5.0)
 
 
 def _float_bits(cost):

@@ -11,7 +11,7 @@ SURFACE = {
     "Archive", "OutputFormat", "Plan",
     # cost model
     "CostModel", "QueryInstance", "Topology", "ScanOp", "JoinOp",
-    "OperatorCatalog", "default_catalog", "materializing_catalog",
+    "OperatorCatalog", "default_catalog",
     # query generation
     "GenSpec", "SelectivityMode", "generate_query",
     # optimizer
@@ -27,7 +27,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_is_the_documented_surface():
-    assert len(moqo.__all__) == len(SURFACE) == 29
+    assert len(moqo.__all__) == len(SURFACE) == 28
     assert set(moqo.__all__) == SURFACE
     for name in moqo.__all__:
         assert getattr(moqo, name) is not None
